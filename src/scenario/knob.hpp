@@ -2,10 +2,10 @@
 //
 // Every scenario declares its tunable parameters once — name, type,
 // default, range, help text — and both the `intox` driver's strict
-// `--set`/`--sweep`/`--config` parsing and the legacy bench shims apply
-// values through the same KnobSet. Unknown keys, malformed values and
-// out-of-range numbers are rejected with a one-line diagnostic instead
-// of silently falling through to a default (the same contract
+// `--set`/`--sweep`/`--config` parsing and the sweep point enumeration
+// apply values through the same KnobSet. Unknown keys, malformed values
+// and out-of-range numbers are rejected with a one-line diagnostic
+// instead of silently falling through to a default (the same contract
 // obs::parse_threads_arg established for --threads).
 #pragma once
 

@@ -1,7 +1,6 @@
 // The narrated example walk-throughs, registered as scenarios so the
-// `intox` driver runs them too. Each example's stdout is reproduced
-// byte-for-byte via Console::raw; the on-disk examples/*.cpp binaries
-// are thin shims onto these registrations.
+// `intox` driver runs them too. Each example narrates through
+// Console::raw, and tests/golden/ pins its stdout byte for byte.
 #include <cstdint>
 #include <memory>
 #include <string>

@@ -2,13 +2,17 @@
 // paths stay plausible, metrics stay in range, density never increases.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "nethide/obfuscate.hpp"
 #include "sim/rng.hpp"
 
 namespace intox::nethide {
 namespace {
 
-enum class Family { kGrid, kRing, kLeafSpine, kRandom };
+// 64-bit so TopoParam has no padding: gtest names each case after the
+// param's raw bytes, and padding bytes would make those names vary by run.
+enum class Family : std::uint64_t { kGrid, kRing, kLeafSpine, kRandom };
 
 struct TopoParam {
   Family family;
