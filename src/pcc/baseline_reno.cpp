@@ -4,56 +4,17 @@
 
 namespace intox::pcc {
 
-RenoSender::RenoSender(sim::Scheduler& sched, const RenoConfig& config,
-                       net::FiveTuple flow, PacketSink sink)
-    : sched_(sched), config_(config), flow_(flow), sink_(std::move(sink)),
-      rate_bps_(config.initial_rate_bps),
-      srtt_s_(sim::to_seconds(config.initial_rtt)) {}
-
-void RenoSender::start() {
-  running_ = true;
-  rate_series_.record(sched_.now(), rate_bps_);
+// The first packet goes out at once; the first epoch closes one RTT later.
+void RenoSender::on_start() {
+  set_pacing_rate(send_config_.initial_rate_bps);
   send_packet();
-  epoch_event_ = sched_.schedule_after(
-      sim::seconds(srtt_s_ * config_.epoch_rtt_multiplier),
-      [this] { close_epoch(); });
+  arm_epoch();
 }
 
-void RenoSender::stop() {
-  running_ = false;
-  if (send_event_.valid()) sched_.cancel(send_event_);
-  if (epoch_event_.valid()) sched_.cancel(epoch_event_);
-}
-
-void RenoSender::send_packet() {
-  if (!running_) return;
-  net::Packet p;
-  p.src = flow_.src;
-  p.dst = flow_.dst;
-  net::UdpHeader u;
-  u.src_port = flow_.src_port;
-  u.dst_port = flow_.dst_port;
-  p.l4 = u;
-  p.payload_bytes = config_.packet_payload_bytes;
-  const std::uint32_t seq = next_seq_++;
-  p.flow_tag = seq;
-  in_flight_[seq] = sched_.now();
-  ++epoch_sent_;
-  sink_(std::move(p));
-
-  const double bits =
-      static_cast<double>(config_.packet_payload_bytes + 28) * 8.0;
-  send_event_ =
-      sched_.schedule_after(sim::seconds(bits / rate_bps_),
-                            [this] { send_packet(); });
-}
-
-void RenoSender::on_ack(std::uint32_t seq, sim::Time now) {
-  auto it = in_flight_.find(seq);
-  if (it == in_flight_.end()) return;
-  srtt_s_ = 0.9 * srtt_s_ + 0.1 * sim::to_seconds(now - it->second);
-  in_flight_.erase(it);
-  ++epoch_acked_;
+void RenoSender::arm_epoch() {
+  interval_event_ =
+      sched_.schedule_after(sim::seconds(smoothed_rtt_seconds() * kEpochRtts),
+                            [this] { close_epoch(); });
 }
 
 void RenoSender::close_epoch() {
@@ -62,25 +23,22 @@ void RenoSender::close_epoch() {
   // RTT in flight); compare against that cohort, with 2% slack for
   // boundary jitter. Fewer ACKs than expected => loss => multiplicative
   // decrease; otherwise additive increase of one segment per RTT.
+  double rate = pacing_rate_bps();
   if (prev_epoch_sent_ > 0 &&
       epoch_acked_ + prev_epoch_sent_ / 50 < prev_epoch_sent_) {
-    rate_bps_ = std::max(rate_bps_ / 2.0, config_.min_rate_bps);
+    rate = std::max(rate / 2.0, send_config_.min_rate_bps);
     slow_start_ = false;
   } else if (slow_start_) {
-    rate_bps_ = std::min(rate_bps_ * 2.0, config_.max_rate_bps);
+    rate = std::min(rate * 2.0, send_config_.max_rate_bps);
   } else {
-    const double mss_bits =
-        static_cast<double>(config_.packet_payload_bytes + 28) * 8.0;
-    rate_bps_ = std::min(rate_bps_ + mss_bits / srtt_s_, config_.max_rate_bps);
+    rate = std::min(rate + packet_bits() / smoothed_rtt_seconds(),
+                    send_config_.max_rate_bps);
   }
-  rate_series_.record(sched_.now(), rate_bps_);
+  set_pacing_rate(rate);
   prev_epoch_sent_ = epoch_sent_;
   epoch_sent_ = 0;
   epoch_acked_ = 0;
-  // Anything still unacked from older epochs is forgotten lazily.
-  epoch_event_ = sched_.schedule_after(
-      sim::seconds(srtt_s_ * config_.epoch_rtt_multiplier),
-      [this] { close_epoch(); });
+  arm_epoch();
 }
 
 }  // namespace intox::pcc

@@ -2,67 +2,39 @@
 //
 // PCC's paper (and ours) compares against "hardwired" congestion
 // control: additive increase of one segment per RTT, multiplicative
-// decrease on loss. Implemented rate-based over the same UDP framing as
-// PccSender so both run on identical simulator plumbing, letting the
-// benches contrast how the two react to the same adversarial drops.
+// decrease on loss. It is rate-based and sends through the same
+// PacedSender path as PccSender, so the benches can contrast how the two
+// react to the same adversarial drops.
 #pragma once
 
-#include <functional>
-#include <unordered_map>
-
-#include "net/packet.hpp"
-#include "sim/event_queue.hpp"
-#include "sim/stats.hpp"
+#include "pcc/paced_sender.hpp"
 
 namespace intox::pcc {
 
-struct RenoConfig {
-  double initial_rate_bps = 2e6;
-  double min_rate_bps = 0.25e6;
-  double max_rate_bps = 1e9;
-  std::uint32_t packet_payload_bytes = 1460;
-  sim::Duration initial_rtt = sim::millis(50);
-  /// Loss is assessed over fixed epochs of ~1 RTT (a rate-based stand-in
-  /// for per-window dupack detection).
-  double epoch_rtt_multiplier = 1.0;
-};
-
-class RenoSender {
+class RenoSender : public PacedSender {
  public:
-  using PacketSink = std::function<void(net::Packet)>;
-
-  RenoSender(sim::Scheduler& sched, const RenoConfig& config,
-             net::FiveTuple flow, PacketSink sink);
-
-  void start();
-  void stop();
-  void on_ack(std::uint32_t seq, sim::Time now);
-
-  [[nodiscard]] double rate_bps() const { return rate_bps_; }
-  [[nodiscard]] const sim::TimeSeries& rate_series() const {
-    return rate_series_;
-  }
+  RenoSender(sim::Scheduler& sched, const SendConfig& config,
+             net::FiveTuple flow, PacketSink sink)
+      : PacedSender(sched, config, flow, std::move(sink)) {}
 
  private:
-  void send_packet();
+  /// Loss is assessed over fixed epochs of one smoothed RTT (a
+  /// rate-based stand-in for per-window dupack detection).
+  static constexpr double kEpochRtts = 1.0;
+
+  void on_start() override;
+  std::uint64_t on_send() override {
+    ++epoch_sent_;
+    return 0;
+  }
+  void on_acked(std::uint64_t) override { ++epoch_acked_; }
+  void arm_epoch();
   void close_epoch();
 
-  sim::Scheduler& sched_;
-  RenoConfig config_;
-  net::FiveTuple flow_;
-  PacketSink sink_;
-  double rate_bps_;
-  double srtt_s_;
   bool slow_start_ = true;
-  bool running_ = false;
-  std::uint32_t next_seq_ = 1;
   std::uint64_t epoch_sent_ = 0;
   std::uint64_t epoch_acked_ = 0;
   std::uint64_t prev_epoch_sent_ = 0;
-  std::unordered_map<std::uint32_t, sim::Time> in_flight_;
-  sim::Scheduler::EventId send_event_;
-  sim::Scheduler::EventId epoch_event_;
-  sim::TimeSeries rate_series_;
 };
 
 }  // namespace intox::pcc

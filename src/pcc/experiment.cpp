@@ -1,8 +1,8 @@
 #include "pcc/experiment.hpp"
 
-#include <cmath>
 #include <memory>
 
+#include "pcc/baseline_reno.hpp"
 #include "pcc/receiver.hpp"
 #include "sim/link.hpp"
 
@@ -45,8 +45,10 @@ PccExperimentResult run_pcc_experiment(const PccExperimentConfig& config) {
 
   // Reverse path: one clean high-capacity link carrying all ACKs back; a
   // dispatcher hands each ACK to its sender by destination port.
-  std::vector<std::unique_ptr<PccSender>> pcc_senders;
-  std::vector<std::unique_ptr<RenoSender>> reno_senders;
+  std::vector<std::unique_ptr<PacedSender>> senders;
+  // The same senders, typed, when they are PCC: the MitM resolver and the
+  // PCC-only result fields read them. Empty for the Reno baseline.
+  std::vector<const PccSender*> pcc_senders;
   sim::LinkConfig reverse_cfg;
   reverse_cfg.rate_bps = 10e9;
   reverse_cfg.prop_delay = config.one_way_delay;
@@ -55,13 +57,10 @@ PccExperimentResult run_pcc_experiment(const PccExperimentConfig& config) {
                       if (!u || u->dst_port < 10000) return;
                       const std::size_t idx =
                           static_cast<std::size_t>(u->dst_port - 10000);
-                      const auto seq = static_cast<std::uint32_t>(ack.flow_tag);
-                      if (config.kind == SenderKind::kPcc) {
-                        if (idx < pcc_senders.size()) {
-                          pcc_senders[idx]->on_ack(seq, sched.now());
-                        }
-                      } else if (idx < reno_senders.size()) {
-                        reno_senders[idx]->on_ack(seq, sched.now());
+                      if (idx < senders.size()) {
+                        senders[idx]->on_ack(
+                            static_cast<std::uint32_t>(ack.flow_tag),
+                            sched.now());
                       }
                     }};
 
@@ -101,11 +100,13 @@ PccExperimentResult run_pcc_experiment(const PccExperimentConfig& config) {
     if (config.kind == SenderKind::kPcc) {
       PccConfig pc = config.pcc;
       pc.seed = config.seed * 7919 + i;
-      pcc_senders.push_back(std::make_unique<PccSender>(
-          sched, pc, flow_tuple(i), into_bottleneck));
+      auto s = std::make_unique<PccSender>(sched, pc, flow_tuple(i),
+                                           into_bottleneck);
+      pcc_senders.push_back(s.get());
+      senders.push_back(std::move(s));
     } else {
-      reno_senders.push_back(std::make_unique<RenoSender>(
-          sched, config.reno, flow_tuple(i), into_bottleneck));
+      senders.push_back(std::make_unique<RenoSender>(
+          sched, config.pcc, flow_tuple(i), into_bottleneck));
     }
   }
 
@@ -117,53 +118,30 @@ PccExperimentResult run_pcc_experiment(const PccExperimentConfig& config) {
       const auto* u = p.udp();
       if (!u || u->src_port < 10000) return nullptr;
       const std::size_t idx = static_cast<std::size_t>(u->src_port - 10000);
-      return idx < pcc_senders.size() ? pcc_senders[idx].get() : nullptr;
+      return idx < pcc_senders.size() ? pcc_senders[idx] : nullptr;
     };
     mitm = std::make_unique<PccMitm>(sched, config.mitm,
                                      PccMitm::SenderResolver{resolver});
     mitm->attach(bottleneck);
   }
 
-  for (auto& s : pcc_senders) s->start();
-  for (auto& s : reno_senders) s->start();
+  for (auto& s : senders) s->start();
   sched.run_until(config.duration);
-  for (auto& s : pcc_senders) s->stop();
-  for (auto& s : reno_senders) s->stop();
+  for (auto& s : senders) s->stop();
 
   // Flow-0 rate series and late-window statistics.
-  const sim::TimeSeries& rate_series =
-      config.kind == SenderKind::kPcc ? pcc_senders[0]->rate_series()
-                                      : reno_senders[0]->rate_series();
-  result.rate = rate_series;
+  result.rate = senders[0]->rate_series();
   const sim::Time from = config.duration * 2 / 3;
-  sim::RunningStats rate_stats;
-  for (const auto& [t, v] : rate_series.points()) {
-    if (t >= from) rate_stats.add(v);
-  }
-  result.mean_rate_bps = rate_stats.mean();
-  result.rate_cv =
-      rate_stats.mean() > 0 ? rate_stats.stddev() / rate_stats.mean() : 0.0;
-  result.osc_amplitude =
-      rate_stats.mean() > 0
-          ? (rate_stats.max() - rate_stats.min()) / (2.0 * rate_stats.mean())
-          : 0.0;
-
-  sim::RunningStats delivered_stats;
-  for (const auto& [t, v] : result.delivered_bps.points()) {
-    if (t >= from) delivered_stats.add(v);
-  }
-  result.delivered_cv = delivered_stats.mean() > 0
-                            ? delivered_stats.stddev() / delivered_stats.mean()
-                            : 0.0;
-
-  if (config.kind == SenderKind::kPcc) {
-    result.inconclusive = pcc_senders[0]->inconclusive_experiments();
-    result.decisions = pcc_senders[0]->decisions();
-    sim::RunningStats u;
-    for (const auto& [t, v] : pcc_senders[0]->utility_series().points()) {
-      if (t >= from) u.add(v);
-    }
-    result.mean_utility = u.mean();
+  const sim::WindowStats rate = sim::window_stats(result.rate, from);
+  result.mean_rate_bps = rate.mean;
+  result.rate_cv = rate.cv;
+  result.osc_amplitude = rate.amplitude;
+  result.delivered_cv = sim::window_stats(result.delivered_bps, from).cv;
+  if (!pcc_senders.empty()) {
+    const PccSender& flow0 = *pcc_senders[0];
+    result.inconclusive = flow0.inconclusive_experiments();
+    result.decisions = flow0.decisions();
+    result.mean_utility = sim::window_stats(flow0.utility_series(), from).mean;
   }
   if (mitm) {
     result.attacker_dropped = mitm->dropped();

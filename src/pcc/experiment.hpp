@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "pcc/attacker.hpp"
-#include "pcc/baseline_reno.hpp"
 #include "pcc/monitor.hpp"
 #include "sim/stats.hpp"
 
@@ -32,8 +31,8 @@ struct PccExperimentConfig {
   sim::Duration duration = sim::seconds(120);
   bool attack = false;
   PccMitmConfig mitm{};
+  /// Both sender kinds read its SendConfig fields; the rest is PCC's.
   PccConfig pcc{};
-  RenoConfig reno{};
   std::uint64_t seed = 1;
 };
 

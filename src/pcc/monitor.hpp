@@ -1,4 +1,4 @@
-// Monitor-interval bookkeeping and PCC configuration.
+// Monitor-interval bookkeeping and sender configuration.
 #pragma once
 
 #include <cstdint>
@@ -8,10 +8,18 @@
 
 namespace intox::pcc {
 
-struct PccConfig {
+/// What the shared send path (PacedSender) and both rate policies read:
+/// the rate bounds, the packet size and the RTT assumed before the first
+/// ACK.
+struct SendConfig {
   double initial_rate_bps = 2e6;
   double min_rate_bps = 0.25e6;
   double max_rate_bps = 1e9;
+  std::uint32_t packet_payload_bytes = 1460;
+  sim::Duration initial_rtt = sim::millis(50);
+};
+
+struct PccConfig : SendConfig {
   /// Experiment granularity: ε starts at epsilon_min and, on inconclusive
   /// experiments, grows by epsilon_min up to epsilon_max ("a threshold of
   /// 5%" — the bound the §4.2 attacker drives PCC to oscillate at).
@@ -24,8 +32,6 @@ struct PccConfig {
   /// Grace period after an MI ends before it is evaluated (lets ACKs of
   /// in-flight packets arrive): multiple of smoothed RTT.
   double mi_grace_rtt = 1.2;
-  std::uint32_t packet_payload_bytes = 1460;
-  sim::Duration initial_rtt = sim::millis(50);
   UtilityParams utility_params{};
   std::uint64_t seed = 1;
 };

@@ -124,14 +124,10 @@ PccRun run_pcc(bool attack, bool with_guard, std::uint64_t seed) {
   sender.stop();
 
   PccRun out;
-  sim::RunningStats stats;
-  for (const auto& [when, rate] : sender.rate_series().points()) {
-    if (when >= sim::seconds(40)) stats.add(rate);
-  }
-  out.rate_cv = stats.mean() > 0 ? stats.stddev() / stats.mean() : 0.0;
-  out.amp = stats.mean() > 0
-                ? (stats.max() - stats.min()) / (2.0 * stats.mean())
-                : 0.0;
+  const sim::WindowStats late =
+      sim::window_stats(sender.rate_series(), sim::seconds(40));
+  out.rate_cv = late.cv;
+  out.amp = late.amplitude;
   out.detected = guard && guard->detected();
   return out;
 }

@@ -106,6 +106,20 @@ std::vector<double> TimeSeries::resample(Time from, Time to,
   return out;
 }
 
+WindowStats window_stats(const TimeSeries& series, Time from) {
+  RunningStats stats;
+  for (const auto& [t, v] : series.points()) {
+    if (t >= from) stats.add(v);
+  }
+  WindowStats out;
+  out.mean = stats.mean();
+  if (out.mean > 0) {
+    out.cv = stats.stddev() / out.mean;
+    out.amplitude = (stats.max() - stats.min()) / (2.0 * out.mean);
+  }
+  return out;
+}
+
 SeriesStats::SeriesStats(Time from, Time to, Duration step)
     : from_(from), step_(step) {
   INTOX_INVARIANT(step > 0, "SeriesStats grid step must be positive (got "

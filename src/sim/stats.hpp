@@ -75,6 +75,16 @@ class TimeSeries {
   std::vector<std::pair<Time, double>> points_;
 };
 
+/// Late-window summary of a series: mean, coefficient of variation and
+/// amplitude (max - min) / (2 mean) of the points at t >= from. CV and
+/// amplitude are 0 unless the mean is positive.
+struct WindowStats {
+  double mean = 0.0;
+  double cv = 0.0;
+  double amplitude = 0.0;
+};
+WindowStats window_stats(const TimeSeries& series, Time from);
+
 /// Cross-trial aggregate of many (time, value) series: a RunningStats per
 /// grid point. Each added series is step-resampled onto the grid, so
 /// ragged per-trial sampling is fine. `merge` combines two aggregates

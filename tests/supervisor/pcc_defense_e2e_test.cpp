@@ -60,14 +60,10 @@ RunResult run_attacked(bool with_guard, std::uint64_t seed = 5) {
   sender.stop();
 
   RunResult out;
-  sim::RunningStats stats;
-  for (const auto& [when, rate] : sender.rate_series().points()) {
-    if (when >= sim::seconds(40)) stats.add(rate);
-  }
-  out.rate_cv = stats.mean() > 0 ? stats.stddev() / stats.mean() : 0.0;
-  out.osc_amplitude =
-      stats.mean() > 0 ? (stats.max() - stats.min()) / (2.0 * stats.mean())
-                       : 0.0;
+  const sim::WindowStats late =
+      sim::window_stats(sender.rate_series(), sim::seconds(40));
+  out.rate_cv = late.cv;
+  out.osc_amplitude = late.amplitude;
   out.detected = guard && guard->detected();
   out.epsilon_cap = sender.epsilon_cap();
   return out;
