@@ -1,25 +1,40 @@
-// PccSender unit tests over an ideal (lossless, fixed-delay) path.
+// Sender unit tests over an ideal (fixed-delay) path: the shared send
+// path for both PccSender and RenoSender, then each rate policy.
 #include "pcc/sender.hpp"
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <set>
+
+#include "pcc/baseline_reno.hpp"
+#include "pcc/experiment.hpp"
 #include "pcc/receiver.hpp"
 #include "sim/link.hpp"
 
 namespace intox::pcc {
+
+// Names the SendPath cases ".../Pcc" and ".../Reno" in gtest and ctest.
+void PrintTo(SenderKind kind, std::ostream* os) {
+  *os << (kind == SenderKind::kPcc ? "Pcc" : "Reno");
+}
+
 namespace {
 
 struct Loop {
   sim::Scheduler sched;
   PccConfig cfg;
-  std::unique_ptr<PccSender> sender;
+  std::unique_ptr<PacedSender> sender;
+  PccSender* pcc = nullptr;  // set for SenderKind::kPcc
   std::unique_ptr<PccReceiver> receiver;
   std::unique_ptr<sim::Link> fwd;
   std::unique_ptr<sim::Link> rev;
+  /// (send time, last rate in the sender's rate series) per packet sent.
+  std::vector<std::pair<sim::Time, double>> sends;
 
-  explicit Loop(double link_bps = 100e6, double drop_every_nth = 0,
-                double max_rate_bps = 1e9) {
-    cfg.max_rate_bps = max_rate_bps;
+  explicit Loop(SenderKind kind = SenderKind::kPcc, double link_bps = 100e6,
+                double drop_every_nth = 0, const PccConfig& config = {})
+      : cfg(config) {
     sim::LinkConfig fc;
     fc.rate_bps = link_bps;
     fc.prop_delay = sim::millis(20);
@@ -44,38 +59,87 @@ struct Loop {
     }
     net::FiveTuple t{net::Ipv4Addr{1, 1, 1, 1}, net::Ipv4Addr{2, 2, 2, 2},
                      10000, 443, net::IpProto::kUdp};
-    sender = std::make_unique<PccSender>(
-        sched, cfg, t, [this](net::Packet p) { fwd->transmit(std::move(p)); });
+    auto sink = [this](net::Packet p) {
+      sends.emplace_back(sched.now(),
+                         sender->rate_series().points().back().second);
+      fwd->transmit(std::move(p));
+    };
+    if (kind == SenderKind::kPcc) {
+      auto s = std::make_unique<PccSender>(sched, cfg, t, sink);
+      pcc = s.get();
+      sender = std::move(s);
+    } else {
+      sender = std::make_unique<RenoSender>(sched, cfg, t, sink);
+    }
+  }
+
+  /// Runs the sender from now until `until`, then stops it.
+  void run(sim::Duration until) {
+    sender->start();
+    sched.run_until(until);
+    sender->stop();
   }
 
   int tap_count_ = 0;
 };
 
+// ---- Shared send path, once per sender kind ---------------------------
+
+class SendPath : public ::testing::TestWithParam<SenderKind> {};
+
+TEST_P(SendPath, StopHaltsTraffic) {
+  Loop loop{GetParam()};
+  loop.run(sim::seconds(1));
+  const auto tx = loop.fwd->counters().tx_packets;
+  ASSERT_GT(tx, 0u);
+  loop.sched.run_until(sim::seconds(2));
+  EXPECT_EQ(loop.fwd->counters().tx_packets, tx);
+}
+
+TEST_P(SendPath, PacketsGoOutAtTheCurrentRate) {
+  // Each packet leaves one wire time after the one before, at the rate
+  // the sender had last set when that one left.
+  Loop loop{GetParam()};
+  loop.run(sim::seconds(3));
+  ASSERT_GT(loop.sends.size(), 100u);
+  const double bits =
+      static_cast<double>(loop.cfg.packet_payload_bytes + 28) * 8.0;
+  std::size_t off_pace = 0;
+  std::set<double> rates;
+  for (std::size_t i = 1; i < loop.sends.size(); ++i) {
+    const auto& [t, rate] = loop.sends[i - 1];
+    if (loop.sends[i].first - t != sim::seconds(bits / rate)) ++off_pace;
+    rates.insert(rate);
+  }
+  EXPECT_EQ(off_pace, 0u);
+  EXPECT_GT(rates.size(), 3u);  // the rate moved and the pacing followed
+}
+
+INSTANTIATE_TEST_SUITE_P(Senders, SendPath,
+                         ::testing::Values(SenderKind::kPcc,
+                                           SenderKind::kReno));
+
+// ---- PCC's monitor-interval experiments -------------------------------
+
 TEST(PccSender, StartingPhaseGrowsRate) {
   Loop loop;
-  loop.sender->start();
-  loop.sched.run_until(sim::seconds(3));
-  loop.sender->stop();
+  loop.run(sim::seconds(3));
   // From 2 Mbps, a few doublings must have happened on a clean 100 Mbps path.
-  EXPECT_GT(loop.sender->rate_bps(), 8e6);
+  EXPECT_GT(loop.pcc->rate_bps(), 8e6);
 }
 
 TEST(PccSender, TracksRttFromAcks) {
   Loop loop;
-  loop.sender->start();
-  loop.sched.run_until(sim::seconds(3));
-  loop.sender->stop();
+  loop.run(sim::seconds(3));
   // 40 ms RTT path (20 ms each way) plus serialization.
   EXPECT_NEAR(loop.sender->smoothed_rtt_seconds(), 0.040, 0.01);
 }
 
 TEST(PccSender, MonitorIntervalsAccountPackets) {
   Loop loop;
-  loop.sender->start();
-  loop.sched.run_until(sim::seconds(5));
-  loop.sender->stop();
-  ASSERT_GT(loop.sender->history().size(), 10u);
-  for (const auto& mi : loop.sender->history()) {
+  loop.run(sim::seconds(5));
+  ASSERT_GT(loop.pcc->history().size(), 10u);
+  for (const auto& mi : loop.pcc->history()) {
     EXPECT_GE(mi.sent, mi.acked);
     EXPECT_GE(mi.end, mi.start);
   }
@@ -84,26 +148,24 @@ TEST(PccSender, MonitorIntervalsAccountPackets) {
 TEST(PccSender, LosslessPathMeansZeroMeasuredLoss) {
   // Cap the sender below the link rate so probing can never saturate the
   // queue: the path is then genuinely lossless.
-  Loop loop{100e6, 0, /*max_rate_bps=*/40e6};
-  loop.sender->start();
-  loop.sched.run_until(sim::seconds(5));
-  loop.sender->stop();
+  PccConfig capped;
+  capped.max_rate_bps = 40e6;
+  Loop loop{SenderKind::kPcc, 100e6, 0, capped};
+  loop.run(sim::seconds(5));
   // Skip the first few MIs (rate far below link, nothing queued): all
   // should see ~no loss.
   std::size_t lossy = 0;
-  for (const auto& mi : loop.sender->history()) {
+  for (const auto& mi : loop.pcc->history()) {
     if (mi.loss() > 0.02) ++lossy;
   }
-  EXPECT_LE(lossy, loop.sender->history().size() / 10);
+  EXPECT_LE(lossy, loop.pcc->history().size() / 10);
 }
 
 TEST(PccSender, PersistentLossDetected) {
-  Loop loop{100e6, /*drop_every_nth=*/10};
-  loop.sender->start();
-  loop.sched.run_until(sim::seconds(5));
-  loop.sender->stop();
+  Loop loop{SenderKind::kPcc, 100e6, /*drop_every_nth=*/10};
+  loop.run(sim::seconds(5));
   // Late MIs should measure ~10% loss.
-  const auto& h = loop.sender->history();
+  const auto& h = loop.pcc->history();
   ASSERT_GT(h.size(), 10u);
   sim::RunningStats loss;
   for (std::size_t i = h.size() - 5; i < h.size(); ++i) loss.add(h[i].loss());
@@ -112,20 +174,16 @@ TEST(PccSender, PersistentLossDetected) {
 
 TEST(PccSender, EpsilonBoundedByConfig) {
   Loop loop;
-  loop.sender->start();
-  loop.sched.run_until(sim::seconds(10));
-  loop.sender->stop();
-  EXPECT_GE(loop.sender->epsilon(), loop.cfg.epsilon_min);
-  EXPECT_LE(loop.sender->epsilon(), loop.cfg.epsilon_max + 1e-12);
+  loop.run(sim::seconds(10));
+  EXPECT_GE(loop.pcc->epsilon(), loop.cfg.epsilon_min);
+  EXPECT_LE(loop.pcc->epsilon(), loop.cfg.epsilon_max + 1e-12);
 }
 
 TEST(PccSender, ExperimentRatesBracketBaseRate) {
   Loop loop;
-  loop.sender->start();
-  loop.sched.run_until(sim::seconds(10));
-  loop.sender->stop();
+  loop.run(sim::seconds(10));
   bool saw_up = false, saw_down = false;
-  for (const auto& mi : loop.sender->history()) {
+  for (const auto& mi : loop.pcc->history()) {
     saw_up |= mi.phase == MiPhase::kUp;
     saw_down |= mi.phase == MiPhase::kDown;
   }
@@ -133,14 +191,89 @@ TEST(PccSender, ExperimentRatesBracketBaseRate) {
   EXPECT_TRUE(saw_down);
 }
 
-TEST(PccSender, StopHaltsTraffic) {
-  Loop loop;
-  loop.sender->start();
-  loop.sched.run_until(sim::seconds(1));
-  loop.sender->stop();
-  const auto tx = loop.fwd->counters().tx_packets;
-  loop.sched.run_until(sim::seconds(2));
-  EXPECT_EQ(loop.fwd->counters().tx_packets, tx);
+// ---- Reno's per-RTT AIMD epochs ---------------------------------------
+
+// A 1 Gb/s path that never queues: Reno starts at 16 Mb/s, so every epoch
+// carries over 50 packets and the 2% slack absorbs the one-packet jitter
+// at epoch boundaries, and it starts from the path's RTT, so its epochs
+// line up with the ACK cohorts from the first one on.
+Loop reno_loop() {
+  PccConfig cfg;
+  cfg.initial_rate_bps = 16e6;
+  cfg.max_rate_bps = 200e6;
+  cfg.initial_rtt = sim::millis(40);
+  return Loop{SenderKind::kReno, 1e9, 0, cfg};
+}
+
+TEST(RenoSender, SlowStartDoublesEachEpochOnLosslessPath) {
+  // The rate doubles at every epoch close until it reaches the cap, then
+  // stays there.
+  Loop loop = reno_loop();
+  loop.run(sim::seconds(2));
+  const auto& r = loop.sender->rate_series().points();
+  ASSERT_GT(r.size(), 10u);
+  EXPECT_EQ(r[0].second, loop.cfg.initial_rate_bps);
+  for (std::size_t i = 1; i < r.size(); ++i) {
+    EXPECT_EQ(r[i].second,
+              std::min(2.0 * r[i - 1].second, loop.cfg.max_rate_bps))
+        << "epoch " << i;
+  }
+}
+
+TEST(RenoSender, FirstLossyEpochHalvesRateAndEndsSlowStart) {
+  // Twenty packets lost in the third epoch; the path is clean otherwise.
+  Loop loop = reno_loop();
+  int seen = 0;
+  loop.fwd->set_tap([&seen](net::Packet&) {
+    ++seen;
+    return seen > 200 && seen <= 220 ? sim::TapAction::kDrop
+                                     : sim::TapAction::kForward;
+  });
+  loop.run(sim::seconds(2));
+  const auto& r = loop.sender->rate_series().points();
+  std::size_t cut = 1;
+  while (cut < r.size() && r[cut].second == 2.0 * r[cut - 1].second) ++cut;
+  ASSERT_GT(cut, 2u);  // slow start ran for a few epochs first
+  ASSERT_LT(cut, r.size());
+  EXPECT_EQ(r[cut].second, r[cut - 1].second / 2.0);
+  // Out of slow start no epoch doubles the rate again; it climbs by one
+  // packet per RTT.
+  for (std::size_t i = cut + 1; i < r.size(); ++i) {
+    EXPECT_GT(r[i].second, r[i - 1].second) << "epoch " << i;
+    EXPECT_LT(r[i].second, 1.05 * r[i - 1].second) << "epoch " << i;
+  }
+}
+
+// Reno's rate series over 2 s of a path that loses every 10th packet and
+// ACKs the rest 40 ms after they leave. With `stray`, every ACK arrives
+// twice and is followed by ACKs for a sequence number never sent (it
+// maps to the same ring slot) and for sequence number 0.
+sim::TimeSeries reno_rates(bool stray) {
+  sim::Scheduler sched;
+  std::unique_ptr<RenoSender> reno;
+  auto ack = [&](std::uint32_t seq) { reno->on_ack(seq, sched.now()); };
+  reno = std::make_unique<RenoSender>(
+      sched, SendConfig{}, net::FiveTuple{}, [&](net::Packet p) {
+        const auto seq = static_cast<std::uint32_t>(p.flow_tag);
+        if (seq % 10 == 0) return;
+        sched.schedule_after(sim::millis(40), [&, seq] {
+          ack(seq);
+          if (!stray) return;
+          ack(seq);
+          ack(seq + (1u << 20));
+          ack(0);
+        });
+      });
+  reno->start();
+  sched.run_until(sim::seconds(2));
+  reno->stop();
+  return reno->rate_series();
+}
+
+TEST(RenoSender, UnknownOrRepeatedAcksChangeNothing) {
+  const sim::TimeSeries clean = reno_rates(false);
+  ASSERT_GT(clean.size(), 20u);
+  EXPECT_EQ(reno_rates(true).points(), clean.points());
 }
 
 }  // namespace

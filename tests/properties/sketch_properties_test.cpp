@@ -13,9 +13,11 @@
 namespace intox::sketch {
 namespace {
 
+// No padding: gtest names each case by the struct's raw bytes, so padding
+// would leak stack garbage into the test names.
 struct BloomParam {
   std::size_t cells;
-  std::uint32_t hashes;
+  std::uint64_t hashes;
   std::uint64_t inserted;
 };
 
@@ -23,7 +25,7 @@ class BloomProperties : public ::testing::TestWithParam<BloomParam> {};
 
 TEST_P(BloomProperties, NoFalseNegativesEver) {
   const auto p = GetParam();
-  BloomFilter f{p.cells, p.hashes, 3};
+  BloomFilter f{p.cells, static_cast<std::uint32_t>(p.hashes), 3};
   for (std::uint64_t i = 0; i < p.inserted; ++i) f.insert(net::mix64(i));
   for (std::uint64_t i = 0; i < p.inserted; ++i) {
     ASSERT_TRUE(f.contains(net::mix64(i))) << i;
@@ -32,9 +34,10 @@ TEST_P(BloomProperties, NoFalseNegativesEver) {
 
 TEST_P(BloomProperties, EmpiricalFprWithinTheoryBand) {
   const auto p = GetParam();
-  BloomFilter f{p.cells, p.hashes, 3};
+  BloomFilter f{p.cells, static_cast<std::uint32_t>(p.hashes), 3};
   for (std::uint64_t i = 0; i < p.inserted; ++i) f.insert(net::mix64(i));
-  const double theory = bloom_theoretical_fpr(p.cells, p.hashes, p.inserted);
+  const double theory = bloom_theoretical_fpr(
+      p.cells, static_cast<std::uint32_t>(p.hashes), p.inserted);
   const double measured = bloom_empirical_fpr(f, 30000);
   // Allow 3-sigma binomial noise plus 20% model slack.
   const double sigma = std::sqrt(std::max(theory, 1e-4) / 30000.0);

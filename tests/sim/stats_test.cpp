@@ -257,6 +257,29 @@ TEST(TimeSeries, MeanOverWindowBeforeFirstSampleUsesZero) {
   EXPECT_DOUBLE_EQ(ts.mean_over(0, 50), 0.0);
 }
 
+TEST(WindowStats, SummarizesPointsFromTheWindowStart) {
+  TimeSeries ts;
+  ts.record(0, 100.0);  // before the window: ignored
+  ts.record(10, 2.0);
+  ts.record(20, 4.0);
+  ts.record(30, 6.0);
+  const WindowStats w = window_stats(ts, 10);
+  EXPECT_DOUBLE_EQ(w.mean, 4.0);
+  EXPECT_DOUBLE_EQ(w.cv, 2.0 / 4.0);          // sample stddev 2
+  EXPECT_DOUBLE_EQ(w.amplitude, 4.0 / 8.0);   // (6 - 2) / (2 * 4)
+}
+
+TEST(WindowStats, NonPositiveMeanGivesZeroCvAndAmplitude) {
+  TimeSeries ts;
+  ts.record(0, -1.0);
+  ts.record(10, 1.0);
+  const WindowStats w = window_stats(ts, 0);
+  EXPECT_DOUBLE_EQ(w.mean, 0.0);
+  EXPECT_DOUBLE_EQ(w.cv, 0.0);
+  EXPECT_DOUBLE_EQ(w.amplitude, 0.0);
+  EXPECT_DOUBLE_EQ(window_stats(ts, 20).mean, 0.0);  // empty window
+}
+
 TEST(TimeSeries, RecordBackwardsRaisesInvariant) {
   validate::ScopedInvariantMode guard{validate::InvariantMode::kThrow};
   TimeSeries ts;
