@@ -251,7 +251,7 @@ class SessionReporter : public benchmark::ConsoleReporter {
 // (INTOX_METRICS / INTOX_TRACE; no flag parsing, so google-benchmark's
 // own --benchmark_* flags pass through untouched).
 int main(int argc, char** argv) {
-  intox::obs::BenchSession session{0, nullptr, "MICRO"};
+  intox::obs::BenchSession session{"MICRO"};
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   SessionReporter reporter;

@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -69,29 +68,6 @@ double SweepPerf::shard_imbalance() const {
   return mean > 0.0 ? max / mean : 0.0;
 }
 
-std::size_t parse_threads_arg(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") != 0) continue;
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "error: --threads requires a value\n");
-      std::exit(2);
-    }
-    const char* s = argv[i + 1];
-    errno = 0;
-    char* end = nullptr;
-    const long v = std::strtol(s, &end, 10);
-    if (s[0] == '\0' || end == s || *end != '\0' || errno == ERANGE ||
-        v < 0) {
-      std::fprintf(stderr,
-                   "error: --threads expects a non-negative integer "
-                   "(0 = auto), got '%s'\n", s);
-      std::exit(2);
-    }
-    return static_cast<std::size_t>(v);
-  }
-  return 0;
-}
-
 void export_invariant_counters() {
   static std::once_flag once;
   std::call_once(once, [] {
@@ -101,30 +77,14 @@ void export_invariant_counters() {
   });
 }
 
-BenchSession::BenchSession(int argc, char** argv, std::string family)
-    : family_(std::move(family)) {
+BenchSession::BenchSession(std::string family, const SessionOptions& options)
+    : family_(std::move(family)),
+      path_(options.metrics_out),
+      threads_(options.threads) {
   export_invariant_counters();
-  threads_ = parse_threads_arg(argc, argv);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--metrics-out") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: --metrics-out requires a path\n");
-        std::exit(2);
-      }
-      path_ = argv[i + 1];
-    } else if (std::strcmp(argv[i], "--trace-out") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: --trace-out requires a path\n");
-        std::exit(2);
-      }
-      set_trace_path(argv[i + 1]);
-    } else if (std::strcmp(argv[i], "--flightrec-out") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: --flightrec-out requires a path\n");
-        std::exit(2);
-      }
-      set_flightrec_dump_path(argv[i + 1]);
-    }
+  if (!options.trace_out.empty()) set_trace_path(options.trace_out);
+  if (!options.flightrec_out.empty()) {
+    set_flightrec_dump_path(options.flightrec_out);
   }
   // Every bench/scenario process gets the crash plumbing: a fatal
   // invariant or signal flushes the flight recorder (when a dump path

@@ -1,7 +1,8 @@
 // Machine-readable run reports: the BENCH_<family>.json sink.
 //
-// Every bench (and example) opens a BenchSession naming its experiment
-// family. The session collects per-sweep perf records, and at teardown
+// Every `intox run` opens a BenchSession naming its scenario's family,
+// and `intox sweep` opens one for the orchestrator (family "SWEEP").
+// The session collects per-sweep perf records, and at teardown
 // serializes them together with the full metrics registry and the
 // validate/ invariant counters into one schema-versioned JSON document:
 //
@@ -18,11 +19,12 @@
 //                     "last_message": "" }
 //   }
 //
-// Output destination (first match wins): the --metrics-out FILE flag,
-// else the INTOX_METRICS environment variable (a *.json path, or a
-// directory that receives BENCH_<family>.json). Unset means no file is
-// written — stdout is never touched, so bench output stays
-// byte-identical across thread counts.
+// Output destination (first match wins): SessionOptions::metrics_out
+// (the --metrics-out FILE flag), else the INTOX_METRICS environment
+// variable (a *.json path, or a directory that receives
+// BENCH_<family>.json). Unset means no file is written — stdout is
+// never touched, so bench output stays byte-identical across thread
+// counts.
 //
 // The schema is validated in CI by scripts/check_metrics_schema.py;
 // bump kReportSchema when the document shape changes.
@@ -39,15 +41,17 @@ namespace intox::obs {
 inline constexpr const char* kReportSchema = "intox.bench_report.v1";
 inline constexpr const char* kPointRecordSchema = "intox.point_record.v1";
 
-/// One sweep's perf record — the structured form of the legacy stderr
-/// perf line, plus the per-shard timing the runner now measures.
+/// One dispatch's perf record: sim::ParallelRunner fills one per
+/// `run`/`map` call, and a named copy becomes the stderr perf line and
+/// one entry of the report's `sweeps[]`.
 struct SweepPerf {
   std::string name;
   std::size_t trials = 0;
   std::size_t threads = 0;
   double wall_seconds = 0.0;
-  /// Per-worker busy time for the sweep's dispatch; empty when the
-  /// producer did not measure shards (e.g. hand-accumulated reports).
+  /// Per-worker busy time for the dispatch (one entry per worker); empty
+  /// when the producer did not measure shards (e.g. hand-accumulated
+  /// reports).
   std::vector<double> shard_seconds;
 
   [[nodiscard]] double trials_per_second() const {
@@ -58,22 +62,24 @@ struct SweepPerf {
   [[nodiscard]] double shard_imbalance() const;
 };
 
-/// Strictly parses `--threads N` from a bench command line. Returns N
-/// (or 0 when the flag is absent — the runner's "defer to INTOX_THREADS
-/// / hardware" sentinel, which an explicit `--threads 0` also selects).
-/// A malformed, negative, or missing value prints a diagnostic to
-/// stderr and exits with status 2: a typo'd thread count must never
-/// silently fall through to the default and taint a perf comparison.
-std::size_t parse_threads_arg(int argc, char** argv);
+/// What a command line asked of the session; an empty path leaves that
+/// sink to its environment variable.
+struct SessionOptions {
+  std::size_t threads = 0;    // --threads; 0 = INTOX_THREADS / hardware
+  std::string metrics_out;    // --metrics-out
+  std::string trace_out;      // --trace-out
+  std::string flightrec_out;  // --flightrec-out
+};
 
 class BenchSession {
  public:
-  /// Parses --threads / --metrics-out / --trace-out from argv (pass
-  /// argc = 0 for env-only configuration, e.g. examples with their own
-  /// positional arguments), resolves the report path, and registers
-  /// itself as the process's current session so free-standing perf
-  /// emitters can reach it.
-  BenchSession(int argc, char** argv, std::string family);
+  /// Points the trace and flight-recorder sinks at the given paths,
+  /// resolves the report path, and registers itself as the process's
+  /// current session so free-standing perf emitters can reach it. The
+  /// trace clock starts at the first trace path, so the driver opens the
+  /// session after parsing, right before the scenario runs.
+  explicit BenchSession(std::string family,
+                        const SessionOptions& options = {});
   /// Writes the report (if a destination is configured), flushes the
   /// trace sink, and unregisters.
   ~BenchSession();

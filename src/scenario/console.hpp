@@ -2,12 +2,9 @@
 // conventions every bench printed before the scenario registry existed
 // (64-column `=` rules, "  [PASS]/[CHECK]" claims, "  note:" remarks).
 // Stdout stays the golden artifact — tests/golden/ pins `intox run`
-// output byte for byte — while the console additionally tallies claims
-// for the driver's Table and supports a quiet mode so `intox validate`
-// can run every scenario silently.
+// output byte for byte — and a quiet mode lets `intox validate` run
+// every scenario silently.
 #pragma once
-
-#include <cstddef>
 
 namespace intox::scenario {
 
@@ -34,14 +31,9 @@ class Console {
   void note(const char* text);
 
   void set_quiet(bool quiet) { quiet_ = quiet; }
-  [[nodiscard]] bool quiet() const { return quiet_; }
-  [[nodiscard]] std::size_t claims() const { return claims_; }
-  [[nodiscard]] std::size_t passed() const { return passed_; }
 
  private:
   bool quiet_ = false;
-  std::size_t claims_ = 0;
-  std::size_t passed_ = 0;
 };
 
 }  // namespace intox::scenario

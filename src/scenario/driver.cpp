@@ -3,11 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -16,6 +12,7 @@
 #include "obs/flightrec.hpp"
 #include "obs/forensics.hpp"
 #include "obs/report.hpp"
+#include "scenario/command_line.hpp"
 #include "scenario/console.hpp"
 #include "scenario/knob.hpp"
 #include "scenario/registry.hpp"
@@ -26,13 +23,6 @@
 
 namespace intox::scenario {
 namespace {
-
-/// One-line stderr diagnostic + exit status 2, the same contract
-/// obs::parse_threads_arg established for --threads.
-int fail(const std::string& message) {
-  std::fprintf(stderr, "intox: %s\n", message.c_str());
-  return 2;
-}
 
 void usage(std::FILE* out) {
   std::fprintf(out,
@@ -68,15 +58,6 @@ void usage(std::FILE* out) {
                "  help                       this text\n");
 }
 
-const Scenario* find_or_diagnose(const char* name, std::string* error) {
-  const Scenario* sc = Registry::instance().find(name);
-  if (sc == nullptr) {
-    *error = std::string("unknown scenario '") + name +
-             "' (run 'intox list' to enumerate)";
-  }
-  return sc;
-}
-
 int cmd_list() {
   for (const Scenario* sc : Registry::instance().all()) {
     std::printf("%-22s %-12s %s\n", sc->name.c_str(), sc->family.c_str(),
@@ -88,7 +69,7 @@ int cmd_list() {
 int cmd_knobs(int argc, char** argv) {
   if (argc < 3) return fail("knobs: missing scenario name");
   std::string error;
-  const Scenario* sc = find_or_diagnose(argv[2], &error);
+  const Scenario* sc = find_scenario(argv[2], &error);
   if (sc == nullptr) return fail(error);
   KnobSet knobs;
   if (sc->declare_knobs != nullptr) sc->declare_knobs(knobs);
@@ -106,40 +87,6 @@ int cmd_knobs(int argc, char** argv) {
                 k.help.c_str());
   }
   return 0;
-}
-
-/// Applies a key=value config file; returns empty on success, else the
-/// diagnostic to print.
-std::string apply_config(const std::string& path, KnobSet* knobs) {
-  std::ifstream in{path};
-  if (!in) return "--config: cannot open '" + path + "'";
-  std::string line;
-  int lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const auto begin = line.find_first_not_of(" \t\r");
-    if (begin == std::string::npos) continue;
-    const auto end = line.find_last_not_of(" \t\r");
-    std::string body = line.substr(begin, end - begin + 1);
-    if (body.empty() || body[0] == '#') continue;
-    const auto eq = body.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      return path + ":" + std::to_string(lineno) +
-             ": expected key=value, got '" + body + "'";
-    }
-    std::string err = knobs->set(body.substr(0, eq), body.substr(eq + 1));
-    if (!err.empty()) {
-      return path + ":" + std::to_string(lineno) + ": " + err;
-    }
-  }
-  return "";
-}
-
-int run_once(const Scenario& sc, const KnobSet& knobs, Console* console,
-             sim::ParallelRunner* runner) {
-  Ctx ctx{knobs, *console, *runner};
-  Table table = sc.run(ctx);
-  return table.exit_code;
 }
 
 /// Redirects fd 1 into a tmpfile between begin() and end(), so a
@@ -193,157 +140,80 @@ class StdoutCapture {
   bool active_ = false;
 };
 
-bool knob_is_swept(const std::vector<sweep::SweepAxis>& axes,
-                   std::string_view key) {
-  for (const sweep::SweepAxis& axis : axes) {
-    if (axis.key == key) return true;
-  }
-  return false;
-}
-
 int cmd_run(int argc, char** argv) {
-  if (argc < 3) return fail("run: missing scenario name");
-  std::string error;
-  const Scenario* sc = find_or_diagnose(argv[2], &error);
-  if (sc == nullptr) return fail(error);
-
-  KnobSet knobs;
-  if (sc->declare_knobs != nullptr) sc->declare_knobs(knobs);
-
-  std::vector<sweep::SweepAxis> axes;
-  std::vector<std::string> set_keys;
   std::optional<std::size_t> point;
   std::string point_record_path;
-  for (int i = 3; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--set") {
-      if (i + 1 >= argc) return fail("--set requires key=value");
-      const std::string kv = argv[++i];
-      const auto eq = kv.find('=');
-      if (eq == std::string::npos || eq == 0) {
-        return fail("--set expects key=value, got '" + kv + "'");
-      }
-      std::string key = kv.substr(0, eq);
-      if (knob_is_swept(axes, key)) {
-        return fail("--set and --sweep both name knob '" + key +
-                    "' (a sweep decides that knob's value)");
-      }
-      std::string err = knobs.set(key, kv.substr(eq + 1));
-      if (!err.empty()) return fail(err);
-      set_keys.push_back(std::move(key));
-    } else if (arg == "--sweep") {
-      if (i + 1 >= argc) return fail("--sweep requires key=a:b:step");
-      sweep::SweepAxis axis;
-      std::string err = sweep::parse_sweep_axis(argv[++i], knobs, &axis);
-      if (!err.empty()) return fail(err);
-      if (std::find(set_keys.begin(), set_keys.end(), axis.key) !=
-          set_keys.end()) {
-        return fail("--set and --sweep both name knob '" + axis.key +
-                    "' (a sweep decides that knob's value)");
-      }
-      if (knob_is_swept(axes, axis.key)) {
-        return fail("--sweep: knob '" + axis.key + "' swept twice");
-      }
-      axes.push_back(std::move(axis));
-    } else if (arg == "--config") {
-      if (i + 1 >= argc) return fail("--config requires a file path");
-      std::string err = apply_config(argv[++i], &knobs);
-      if (!err.empty()) return fail(err);
-    } else if (arg == "--point") {
-      if (i + 1 >= argc) return fail("--point requires an index");
-      const char* s = argv[++i];
-      errno = 0;
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(s, &end, 10);
-      if (s[0] == '\0' || end == s || *end != '\0' || errno == ERANGE ||
-          s[0] == '-') {
-        return fail(std::string("--point expects a non-negative integer, "
-                                "got '") + s + "'");
-      }
-      point = static_cast<std::size_t>(v);
-    } else if (arg == "--point-record") {
-      if (i + 1 >= argc) return fail("--point-record requires a file path");
-      point_record_path = argv[++i];
-    } else if (arg == "--threads" || arg == "--metrics-out" ||
-               arg == "--trace-out" || arg == "--flightrec-out") {
-      // Value validated and consumed by BenchSession from the original
-      // argv; here we only insist the value exists.
-      if (i + 1 >= argc) {
-        return fail(std::string(arg) + " requires a value");
-      }
-      ++i;
-    } else {
-      return fail("unknown argument '" + std::string(arg) +
-                  "' (try 'intox help')");
-    }
+  const CommandFlag run_flags[] = {
+      {"--point", "an index",
+       [&](const char* value) {
+         std::size_t index = 0;
+         std::string err = parse_non_negative("--point", value, &index);
+         if (err.empty()) point = index;
+         return err;
+       }},
+      {"--point-record", "a file path", store_value(&point_record_path)},
+  };
+  CommandLine cl;
+  {
+    std::string err =
+        parse_command_line(argc, argv, run_flags, "intox help", &cl);
+    if (!err.empty()) return fail(err);
   }
+  const Scenario& sc = *cl.scenario;
+  KnobSet& knobs = cl.knobs;
+  const std::vector<sweep::SweepAxis>& axes = cl.axes;
 
   if (!point_record_path.empty() && !point.has_value()) {
     return fail("--point-record requires --point");
   }
   const std::size_t total = sweep::point_count(axes);
-  if (total == 0) {
-    return fail("--sweep cross product exceeds " +
-                std::to_string(sweep::kMaxSweepPoints) + " points");
-  }
   if (point.has_value() && *point >= total) {
     return fail("--point " + std::to_string(*point) +
                 " out of range (sweep has " + std::to_string(total) +
                 (total == 1 ? " point)" : " points)"));
   }
 
-  obs::flightrec_set_scenario(sc->name.c_str());
-  obs::BenchSession session{argc, argv, sc->family};
+  obs::flightrec_set_scenario(sc.name.c_str());
+  obs::BenchSession session{sc.family, cl.session};
   if (point.has_value()) session.apply_point_suffix(*point);
   sim::ParallelRunner runner{session.threads()};
   Console console;
 
-  if (point.has_value()) {
-    // Worker mode: execute exactly one point of the product. With
-    // --point-record, stdout goes into the record file instead of the
-    // terminal — the orchestrator merges records in point order, so the
-    // concatenated output is byte-identical to the serial sweep.
-    const sweep::Point pt = sweep::point_at(axes, *point);
-    for (const auto& [key, value] : pt) {
-      std::string err = knobs.set(key, value);
-      if (!err.empty()) return fail(err);  // range-rejected sweep point
-    }
-    StdoutCapture capture;
-    const bool recording = !point_record_path.empty();
-    if (recording && !capture.begin()) {
-      return fail("--point-record: cannot capture stdout");
-    }
+  // `--point N` runs point N alone (a sweep worker); otherwise every
+  // point runs in flag order, the first --sweep varying slowest. With
+  // --point-record, stdout goes into the record file instead of the
+  // terminal — the orchestrator merges records in point order, so the
+  // concatenated output is byte-identical to the serial sweep.
+  StdoutCapture capture;
+  const bool recording = !point_record_path.empty();
+  if (recording && !capture.begin()) {
+    return fail("--point-record: cannot capture stdout");
+  }
+  const std::size_t first = point.value_or(0);
+  const std::size_t last = point.has_value() ? first + 1 : total;
+  sweep::Point pt;
+  int exit_code = 0;
+  for (std::size_t i = first; i < last; ++i) {
+    pt = sweep::point_at(axes, i);
+    std::string err = sweep::apply_point(pt, &knobs);
+    if (!err.empty()) return fail(err);
     if (!axes.empty()) {
       std::printf("[sweep] %s\n", sweep::point_banner(pt).c_str());
     }
-    const int exit_code = run_once(*sc, knobs, &console, &runner);
-    if (recording) {
-      obs::PointRecord record;
-      record.scenario = sc->name;
-      record.family = sc->family;
-      for (const Knob& k : knobs.all()) {
-        record.knobs.emplace_back(k.name, render_value(k));
-      }
-      record.banner = sweep::point_banner(pt);
-      record.exit_code = exit_code;
-      record.stdout_text = capture.end();
-      if (!obs::write_point_record(point_record_path, record)) return 1;
-    }
-    return exit_code;
+    Ctx ctx{knobs, console, runner};
+    exit_code = std::max(exit_code, sc.run(ctx).exit_code);
   }
-
-  if (axes.empty()) return run_once(*sc, knobs, &console, &runner);
-
-  // Cross-product in flag order; first --sweep varies slowest.
-  int exit_code = 0;
-  for (std::size_t i = 0; i < total; ++i) {
-    const sweep::Point pt = sweep::point_at(axes, i);
-    for (const auto& [key, value] : pt) {
-      std::string err = knobs.set(key, value);
-      if (!err.empty()) return fail(err);  // range-rejected sweep point
+  if (recording) {
+    obs::PointRecord record;
+    record.scenario = sc.name;
+    record.family = sc.family;
+    for (const Knob& k : knobs.all()) {
+      record.knobs.emplace_back(k.name, render_value(k));
     }
-    std::printf("[sweep] %s\n", sweep::point_banner(pt).c_str());
-    exit_code = std::max(exit_code, run_once(*sc, knobs, &console, &runner));
+    record.banner = sweep::point_banner(pt);
+    record.exit_code = exit_code;
+    record.stdout_text = capture.end();
+    if (!obs::write_point_record(point_record_path, record)) return 1;
   }
   return exit_code;
 }
@@ -353,7 +223,7 @@ int cmd_validate(int argc, char** argv) {
   if (argc > 2) {
     for (int i = 2; i < argc; ++i) {
       std::string error;
-      const Scenario* sc = find_or_diagnose(argv[i], &error);
+      const Scenario* sc = find_scenario(argv[i], &error);
       if (sc == nullptr) return fail(error);
       targets.push_back(sc);
     }
@@ -366,7 +236,7 @@ int cmd_validate(int argc, char** argv) {
     KnobSet knobs;
     if (sc->declare_knobs != nullptr) sc->declare_knobs(knobs);
     obs::flightrec_set_scenario(sc->name.c_str());
-    obs::BenchSession session{0, nullptr, sc->family};
+    obs::BenchSession session{sc->family};
     sim::ParallelRunner runner{session.threads()};
     Console console;
     console.set_quiet(true);

@@ -5,11 +5,13 @@
 //   intox knobs <scenario>          show a scenario's declared knobs
 //   intox run <scenario> [opts]     run one scenario
 //   intox validate [scenario...]    throw-mode invariant sweep, quiet
+//   intox forensics <dump>          render a flight-recorder dump
 //   intox help                      usage
 //
-// driver_main returns the process exit code instead of exiting so tests
-// can call it in-process; the only path that terminates directly is
-// obs::parse_threads_arg's strict --threads handling, which exits 2.
+// `run` parses the grammar it shares with `intox sweep` through
+// scenario/command_line.hpp. driver_main returns the process exit code
+// instead of exiting, on every CLI error too (status 2), so tests can
+// call it in-process.
 #pragma once
 
 namespace intox::scenario {

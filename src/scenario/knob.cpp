@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <stdexcept>
 
 namespace intox::scenario {
@@ -254,6 +255,28 @@ std::string KnobSet::set(const std::string& key, const std::string& value) {
     }
   }
   return "knob '" + key + "' has an unknown kind";
+}
+
+std::string KnobSet::set_from_file(const std::string& path) {
+  std::ifstream in{path};
+  if (!in) return "--config: cannot open '" + path + "'";
+  std::string line;
+  int lineno = 0;
+  while (std::getline(in, line)) {
+    ++lineno;
+    const auto begin = line.find_first_not_of(" \t\r");
+    if (begin == std::string::npos || line[begin] == '#') continue;
+    const auto end = line.find_last_not_of(" \t\r");
+    const std::string body = line.substr(begin, end - begin + 1);
+    const auto eq = body.find('=');
+    if (eq == std::string::npos || eq == 0) {
+      return path + ":" + std::to_string(lineno) +
+             ": expected key=value, got '" + body + "'";
+    }
+    std::string err = set(body.substr(0, eq), body.substr(eq + 1));
+    if (!err.empty()) return path + ":" + std::to_string(lineno) + ": " + err;
+  }
+  return "";
 }
 
 }  // namespace intox::scenario

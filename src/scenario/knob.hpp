@@ -1,12 +1,11 @@
 // Typed experiment knobs: the declarative half of a Scenario.
 //
 // Every scenario declares its tunable parameters once — name, type,
-// default, range, help text — and both the `intox` driver's strict
+// default, range, help text — and both the `intox` command line's strict
 // `--set`/`--sweep`/`--config` parsing and the sweep point enumeration
 // apply values through the same KnobSet. Unknown keys, malformed values
 // and out-of-range numbers are rejected with a one-line diagnostic
-// instead of silently falling through to a default (the same contract
-// obs::parse_threads_arg established for --threads).
+// instead of silently falling through to a default.
 #pragma once
 
 #include <cstdint>
@@ -72,6 +71,12 @@ class KnobSet {
   /// success, else the one-line diagnostic the caller should print.
   [[nodiscard]] std::string set(const std::string& key,
                                 const std::string& value);
+
+  /// Applies a `--config` file through set(): one key=value per line,
+  /// blank lines and `#` comments skipped, surrounding blanks and a
+  /// trailing CR trimmed, lines of any length. Returns empty on success,
+  /// else the diagnostic, prefixed `path:line:` for a bad line.
+  [[nodiscard]] std::string set_from_file(const std::string& path);
 
   [[nodiscard]] const Knob* find(std::string_view name) const;
   [[nodiscard]] const std::vector<Knob>& all() const { return knobs_; }

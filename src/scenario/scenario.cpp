@@ -4,15 +4,9 @@
 
 namespace intox::scenario {
 
-void Ctx::perf(const char* sweep) const { perf(sweep, runner.last_report()); }
-
-void Ctx::perf(const char* sweep, const sim::RunReport& report) const {
-  obs::SweepPerf record;
+void Ctx::perf(const char* sweep) const {
+  obs::SweepPerf record = runner.last_report();
   record.name = sweep;
-  record.trials = report.trials;
-  record.threads = report.threads;
-  record.wall_seconds = report.wall_seconds;
-  record.shard_seconds = report.shard_seconds;
   obs::emit_sweep_perf(record);
 }
 

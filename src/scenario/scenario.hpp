@@ -4,7 +4,6 @@
 // `intox` driver is the only entry point.
 #pragma once
 
-#include <cstddef>
 #include <string>
 
 #include "scenario/console.hpp"
@@ -13,14 +12,9 @@
 
 namespace intox::scenario {
 
-/// What a scenario run leaves behind: the process exit code plus the
-/// claim tally the console recorded while the run printed. Scenario
-/// bodies fill exit_code only; the driver copies the console counters in
-/// after the run returns.
+/// What a scenario run leaves behind: the process exit code.
 struct Table {
   int exit_code = 0;
-  std::size_t claims = 0;
-  std::size_t passed = 0;
 };
 
 /// Everything a scenario body may touch. The driver owns thread-count
@@ -36,10 +30,9 @@ class Ctx {
   Console& out;
   sim::ParallelRunner& runner;
 
-  /// Emits the per-sweep perf record for the runner's last dispatch
-  /// (legacy stderr JSON + the current BenchSession's run report).
+  /// Emits the runner's last dispatch as perf record `sweep` (stderr
+  /// JSON + the current BenchSession's run report).
   void perf(const char* sweep) const;
-  void perf(const char* sweep, const sim::RunReport& report) const;
 };
 
 using DeclareKnobsFn = void (*)(KnobSet&);

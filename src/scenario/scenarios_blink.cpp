@@ -163,7 +163,8 @@ Table run_tr_sweep(Ctx& ctx) {
   ctx.out.row("%8s  %14s  %14s", "t_R[s]", "theory P[win]", "monte-carlo");
   bool agree = true;
   sim::Rng rng{ctx.knobs.u("mc_seed")};
-  sim::RunReport mc_perf;
+  obs::SweepPerf mc_perf;
+  mc_perf.name = "BLINK-TR-MC";
   for (double tr : {5.0, 8.37, 15.0, 30.0}) {
     const double theory =
         blink::attack_success_probability(n, 0.0525, budget, tr, majority);
@@ -178,7 +179,7 @@ Table run_tr_sweep(Ctx& ctx) {
     ctx.out.row("%8.2f  %13.3f  %13.3f", tr, theory, mc);
     agree &= std::abs(theory - mc) < 0.08;
   }
-  ctx.perf("BLINK-TR-MC", mc_perf);
+  obs::emit_sweep_perf(mc_perf);
   ctx.out.claim(agree, "Monte-Carlo matches the closed form within 0.08");
 
   // Part 3: ablations of Blink's own parameters (DESIGN.md §6).

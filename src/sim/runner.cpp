@@ -23,17 +23,6 @@ std::size_t resolve_threads(std::size_t requested) {
   return hw > 0 ? hw : 1;
 }
 
-double RunReport::shard_imbalance() const {
-  if (shard_seconds.empty()) return 0.0;
-  double sum = 0.0, max = 0.0;
-  for (double s : shard_seconds) {
-    sum += s;
-    if (s > max) max = s;
-  }
-  const double mean = sum / static_cast<double>(shard_seconds.size());
-  return mean > 0.0 ? max / mean : 0.0;
-}
-
 void ParallelRunner::dispatch(std::size_t n_trials,
                               const std::function<void(std::size_t)>& body) {
   // Shard wall-clock timing is perf telemetry (stderr / run report
@@ -92,8 +81,10 @@ void ParallelRunner::dispatch(std::size_t n_trials,
       // intox-lint: allow(determinism)  -- dispatch perf telemetry
       std::chrono::steady_clock::now() - start);
   if (workers <= 1) shard_seconds.assign(1, elapsed.count());
-  report_ = RunReport{n_trials, workers, elapsed.count(),
-                      std::move(shard_seconds)};
+  report_.trials = n_trials;
+  report_.threads = workers;
+  report_.wall_seconds = elapsed.count();
+  report_.shard_seconds = std::move(shard_seconds);
 
   // Registry accounting is aggregate-only (nothing per-trial): totals
   // fold deterministically across thread counts; the imbalance gauge is

@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/report.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
 
@@ -29,24 +30,6 @@ namespace intox::sim {
 /// std::thread::hardware_concurrency() (min 1).
 std::size_t resolve_threads(std::size_t requested);
 
-/// Timing of the most recent `run`/`map` call — the per-sweep perf line
-/// the benches emit. `shard_seconds` holds each worker's busy time for
-/// the dispatch (one entry per worker), from which `shard_imbalance`
-/// derives the max/mean load ratio the observability layer reports.
-struct RunReport {
-  std::size_t trials = 0;
-  std::size_t threads = 1;
-  double wall_seconds = 0.0;
-  std::vector<double> shard_seconds;
-  [[nodiscard]] double trials_per_second() const {
-    return wall_seconds > 0.0 ? static_cast<double>(trials) / wall_seconds
-                              : 0.0;
-  }
-  /// max/mean worker busy time: 1.0 = perfectly balanced; 0 = unknown
-  /// (no shard timing recorded, e.g. a hand-accumulated report).
-  [[nodiscard]] double shard_imbalance() const;
-};
-
 class ParallelRunner {
  public:
   /// threads == 0 defers to INTOX_THREADS / hardware concurrency.
@@ -54,7 +37,9 @@ class ParallelRunner {
       : threads_(resolve_threads(threads)) {}
 
   [[nodiscard]] std::size_t threads() const { return threads_; }
-  [[nodiscard]] const RunReport& last_report() const { return report_; }
+  /// Timing of the most recent `run`/`map` call, unnamed: the caller
+  /// names a copy and hands it to obs::emit_sweep_perf.
+  [[nodiscard]] const obs::SweepPerf& last_report() const { return report_; }
 
   /// Runs fn(trial_index) for each trial, returning the results in trial
   /// order. The result type must be default-constructible and
@@ -98,7 +83,7 @@ class ParallelRunner {
                 const std::function<void(std::size_t)>& body);
 
   std::size_t threads_;
-  RunReport report_;
+  obs::SweepPerf report_;
 };
 
 }  // namespace intox::sim

@@ -13,8 +13,6 @@
 
 namespace intox::sweep {
 
-namespace {
-
 bool read_file(const std::string& path, std::string* out) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return false;
@@ -26,6 +24,8 @@ bool read_file(const std::string& path, std::string* out) {
   std::fclose(f);
   return ok;
 }
+
+namespace {
 
 /// Running cross-point statistic for one metric. Accumulated in point
 /// order over std::map (name-sorted emission), so the rendered numbers

@@ -26,9 +26,7 @@
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
-#include "scenario/knob.hpp"
-#include "scenario/registry.hpp"
-#include "scenario/scenario.hpp"
+#include "scenario/command_line.hpp"
 #include "sweep/cache.hpp"
 #include "sweep/merge.hpp"
 #include "sweep/point.hpp"
@@ -38,12 +36,9 @@ extern char** environ;
 
 namespace intox::sweep {
 
-namespace {
+using scenario::fail;
 
-int fail(const std::string& message) {
-  std::fprintf(stderr, "intox: %s\n", message.c_str());
-  return 2;
-}
+namespace {
 
 void sweep_usage(std::FILE* out) {
   std::fprintf(
@@ -76,178 +71,41 @@ std::string self_exe_path() {
   return buf;
 }
 
-bool knob_is_swept(const std::vector<SweepAxis>& axes, std::string_view key) {
-  for (const SweepAxis& axis : axes) {
-    if (axis.key == key) return true;
-  }
-  return false;
-}
-
-/// Everything cmd_run-compatible that the orchestrator parsed.
+/// The parsed sweep command line: the grammar shared with `intox run`
+/// plus the orchestrator's own flags.
 struct SweepArgs {
-  const scenario::Scenario* sc = nullptr;
-  scenario::KnobSet knobs;               // base config: --config + --set
-  std::vector<SweepAxis> axes;           // in flag order
-  std::vector<std::string> child_flags;  // forwarded verbatim to workers
-  std::size_t workers = 0;               // 0 = auto
+  scenario::CommandLine cl;
+  std::size_t workers = 0;  // 0 = auto
   std::string cache_dir;
-  std::string out_path;                  // empty = stdout
-  std::string trace_out;                 // empty = no session trace
+  std::string out_path;  // empty = stdout
+  // Empty = no session trace. Not forwarded: every process writing one
+  // file would clobber it, so the orchestrator and each worker trace to
+  // private paths that are merged into this one at the end.
+  std::string trace_out;
 };
 
-/// Applies a key=value config file (same semantics as `intox run`).
-std::string apply_config(const std::string& path,
-                         scenario::KnobSet* knobs) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return "--config: cannot open '" + path + "'";
-  std::string line;
-  char buf[4096];
-  int lineno = 0;
-  std::string error;
-  while (error.empty() && std::fgets(buf, sizeof buf, f) != nullptr) {
-    ++lineno;
-    line = buf;
-    while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
-      line.pop_back();
-    }
-    const auto begin = line.find_first_not_of(" \t");
-    if (begin == std::string::npos) continue;
-    const auto end = line.find_last_not_of(" \t");
-    std::string body = line.substr(begin, end - begin + 1);
-    if (body.empty() || body[0] == '#') continue;
-    const auto eq = body.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      error = path + ":" + std::to_string(lineno) +
-              ": expected key=value, got '" + body + "'";
-      break;
-    }
-    error = knobs->set(body.substr(0, eq), body.substr(eq + 1));
-    if (!error.empty()) {
-      error = path + ":" + std::to_string(lineno) + ": " + error;
-    }
-  }
-  std::fclose(f);
-  return error;
-}
-
-std::string parse_count(std::string_view flag, const char* s,
-                        std::size_t* out) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (s[0] == '\0' || s[0] == '-' || end == s || *end != '\0' ||
-      errno == ERANGE) {
-    return std::string(flag) + " expects a non-negative integer, got '" +
-           s + "'";
-  }
-  *out = static_cast<std::size_t>(v);
-  return "";
-}
-
 /// Parses the sweep command line. Returns empty on success, else the
-/// diagnostic (the caller prints and exits 2).
+/// diagnostic (the caller prints it and returns 2).
 std::string parse_args(int argc, char** argv, SweepArgs* out) {
-  if (argc < 3) return "sweep: missing scenario name";
-  if (std::string_view(argv[2]) == "--help" ||
-      std::string_view(argv[2]) == "-h") {
-    sweep_usage(stdout);
-    std::exit(0);
-  }
-  out->sc = scenario::Registry::instance().find(argv[2]);
-  if (out->sc == nullptr) {
-    return std::string("unknown scenario '") + argv[2] +
-           "' (run 'intox list' to enumerate)";
-  }
-  if (out->sc->declare_knobs != nullptr) out->sc->declare_knobs(out->knobs);
-
-  std::vector<std::string> set_keys;
-  bool threads_given = false;
-  for (int i = 3; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--set") {
-      if (i + 1 >= argc) return "--set requires key=value";
-      const std::string kv = argv[++i];
-      const auto eq = kv.find('=');
-      if (eq == std::string::npos || eq == 0) {
-        return "--set expects key=value, got '" + kv + "'";
-      }
-      std::string key = kv.substr(0, eq);
-      if (knob_is_swept(out->axes, key)) {
-        return "--set and --sweep both name knob '" + key +
-               "' (a sweep decides that knob's value)";
-      }
-      std::string err = out->knobs.set(key, kv.substr(eq + 1));
-      if (!err.empty()) return err;
-      set_keys.push_back(std::move(key));
-      out->child_flags.insert(out->child_flags.end(), {"--set", kv});
-    } else if (arg == "--sweep") {
-      if (i + 1 >= argc) return "--sweep requires key=a:b:step";
-      const std::string spec = argv[++i];
-      SweepAxis axis;
-      std::string err = parse_sweep_axis(spec, out->knobs, &axis);
-      if (!err.empty()) return err;
-      if (std::find(set_keys.begin(), set_keys.end(), axis.key) !=
-          set_keys.end()) {
-        return "--set and --sweep both name knob '" + axis.key +
-               "' (a sweep decides that knob's value)";
-      }
-      if (knob_is_swept(out->axes, axis.key)) {
-        return "--sweep: knob '" + axis.key + "' swept twice";
-      }
-      out->axes.push_back(std::move(axis));
-      out->child_flags.insert(out->child_flags.end(), {"--sweep", spec});
-    } else if (arg == "--config") {
-      if (i + 1 >= argc) return "--config requires a file path";
-      const std::string path = argv[++i];
-      std::string err = apply_config(path, &out->knobs);
-      if (!err.empty()) return err;
-      out->child_flags.insert(out->child_flags.end(), {"--config", path});
-    } else if (arg == "--threads") {
-      if (i + 1 >= argc) return "--threads requires a value";
-      std::size_t threads = 0;
-      std::string err = parse_count(arg, argv[++i], &threads);
-      if (!err.empty()) return err;
-      threads_given = true;
-      out->child_flags.insert(out->child_flags.end(),
-                              {"--threads", argv[i]});
-    } else if (arg == "--workers") {
-      if (i + 1 >= argc) return "--workers requires a value";
-      std::string err = parse_count(arg, argv[++i], &out->workers);
-      if (!err.empty()) return err;
-    } else if (arg == "--cache-dir") {
-      if (i + 1 >= argc) return "--cache-dir requires a directory";
-      out->cache_dir = argv[++i];
-    } else if (arg == "--out") {
-      if (i + 1 >= argc) return "--out requires a file path";
-      out->out_path = argv[++i];
-    } else if (arg == "--trace-out") {
-      // Captured here rather than passed through: every process in the
-      // sweep writing the same file would clobber it, so the
-      // orchestrator and each worker get private paths that are merged
-      // into this one at the end.
-      if (i + 1 >= argc) return "--trace-out requires a value";
-      out->trace_out = argv[++i];
-    } else if (arg == "--metrics-out" || arg == "--flightrec-out") {
-      // Orchestrator-side sinks, consumed by BenchSession from argv.
-      if (i + 1 >= argc) return std::string(arg) + " requires a value";
-      ++i;
-    } else {
-      return "unknown argument '" + std::string(arg) +
-             "' (try 'intox sweep --help')";
-    }
-  }
-  if (!threads_given) {
-    // Default worker points to one thread: at --threads 1 the metrics
-    // fold in point records is byte-exact, which the resume
-    // byte-identity guarantee builds on.
-    out->child_flags.insert(out->child_flags.end(), {"--threads", "1"});
-  }
+  const scenario::CommandFlag sweep_flags[] = {
+      {"--workers", "a value",
+       [out](const char* value) {
+         return scenario::parse_non_negative("--workers", value,
+                                             &out->workers);
+       }},
+      {"--cache-dir", "a directory", scenario::store_value(&out->cache_dir)},
+      {"--out", "a file path", scenario::store_value(&out->out_path)},
+  };
+  std::string err = scenario::parse_command_line(
+      argc, argv, sweep_flags, "intox sweep --help", &out->cl);
+  if (!err.empty()) return err;
   if (out->cache_dir.empty()) {
     if (const char* env = std::getenv("INTOX_SWEEP_CACHE")) {
       if (env[0] != '\0') out->cache_dir = env;
     }
   }
   if (out->cache_dir.empty()) out->cache_dir = ".intox-sweep-cache";
+  out->trace_out = out->cl.session.trace_out;
   if (out->trace_out.empty()) {
     // INTOX_TRACE is the env spelling of --trace-out; routing it
     // through the same capture keeps workers (which inherit the
@@ -257,6 +115,10 @@ std::string parse_args(int argc, char** argv, SweepArgs* out) {
     }
   }
   return "";
+}
+
+std::string orchestrator_trace_path(const std::string& trace_out) {
+  return trace_out + ".orch.tmp.json";
 }
 
 bool file_exists(const std::string& path) {
@@ -302,7 +164,7 @@ void write_failure_sidecar(const std::string& path,
 void finalize_session_trace(const SweepArgs& args, const PointCache& cache,
                             const std::vector<CacheKey>& keys) {
   if (args.trace_out.empty()) return;
-  const std::string tmp = args.trace_out + ".orch.tmp.json";
+  const std::string tmp = orchestrator_trace_path(args.trace_out);
   obs::trace_flush();
   // Disable before BenchSession teardown re-flushes over the merge.
   obs::set_trace_path("");
@@ -368,16 +230,19 @@ bool run_child(const std::vector<std::string>& args,
 }  // namespace
 
 int sweep_main(int argc, char** argv) {
+  if (argc >= 3 && (std::string_view(argv[2]) == "--help" ||
+                    std::string_view(argv[2]) == "-h")) {
+    sweep_usage(stdout);
+    return 0;
+  }
   SweepArgs args;
   {
     std::string err = parse_args(argc, argv, &args);
     if (!err.empty()) return fail(err);
   }
-  const std::size_t total = point_count(args.axes);
-  if (total == 0) {
-    return fail("--sweep cross product exceeds " +
-                std::to_string(kMaxSweepPoints) + " points");
-  }
+  const scenario::Scenario& sc = *args.cl.scenario;
+  const std::vector<SweepAxis>& axes = args.cl.axes;
+  const std::size_t total = point_count(axes);
   const std::string exe = self_exe_path();
   if (exe.empty()) return fail("cannot resolve own binary path");
 
@@ -387,17 +252,17 @@ int sweep_main(int argc, char** argv) {
   keys.reserve(total);
   std::string key_preimage;
   for (std::size_t i = 0; i < total; ++i) {
-    scenario::KnobSet resolved = args.knobs;
-    for (const auto& [key, value] : point_at(args.axes, i)) {
-      std::string err = resolved.set(key, value);
-      if (!err.empty()) return fail(err);  // range-rejected sweep point
+    scenario::KnobSet resolved = args.cl.knobs;
+    {
+      std::string err = apply_point(point_at(axes, i), &resolved);
+      if (!err.empty()) return fail(err);
     }
     std::vector<std::pair<std::string, std::string>> vec;
     vec.reserve(resolved.all().size());
     for (const scenario::Knob& k : resolved.all()) {
       vec.emplace_back(k.name, scenario::render_value(k));
     }
-    keys.push_back(point_cache_key(fp, args.sc->name, vec));
+    keys.push_back(point_cache_key(fp, sc.name, vec));
     key_preimage += keys.back().hex();
     key_preimage += '\n';
   }
@@ -412,12 +277,12 @@ int sweep_main(int argc, char** argv) {
     if (!cache.has(keys[i])) pending.push_back(i);
   }
 
-  obs::BenchSession session{argc, argv, "SWEEP"};
-  if (!args.trace_out.empty()) {
-    // BenchSession pointed the trace layer at the user's file; swap in
-    // a private temp so the final merge owns the real path.
-    obs::set_trace_path(args.trace_out + ".orch.tmp.json");
-  }
+  obs::SessionOptions session_options = args.cl.session;
+  // The orchestrator traces to a private temp, so the final merge owns
+  // the real path.
+  session_options.trace_out =
+      args.trace_out.empty() ? "" : orchestrator_trace_path(args.trace_out);
+  obs::BenchSession session{"SWEEP", session_options};
   obs::Registry& reg = obs::Registry::global();
   obs::Counter& c_total = reg.counter("sweep.points_total");
   obs::Counter& c_cached = reg.counter("sweep.points_cached");
@@ -460,9 +325,15 @@ int sweep_main(int argc, char** argv) {
     auto worker = [&] {
       std::size_t idx = 0;
       while (tasks.claim(&idx)) {
-        std::vector<std::string> child{exe, "run", args.sc->name};
-        child.insert(child.end(), args.child_flags.begin(),
-                     args.child_flags.end());
+        std::vector<std::string> child{exe, "run", sc.name};
+        child.insert(child.end(), args.cl.shared_flags.begin(),
+                     args.cl.shared_flags.end());
+        if (!args.cl.threads_given) {
+          // Default worker points to one thread: at --threads 1 the
+          // metrics fold in point records is byte-exact, which the
+          // resume byte-identity guarantee builds on.
+          child.insert(child.end(), {"--threads", "1"});
+        }
         child.insert(child.end(),
                      {"--point", std::to_string(idx), "--point-record",
                       cache.record_path(keys[idx]), "--flightrec-out",
@@ -485,7 +356,7 @@ int sweep_main(int argc, char** argv) {
         failed.fetch_add(1, std::memory_order_relaxed);
         const std::string dump = cache.dump_path(keys[idx]);
         const bool have_dump = file_exists(dump);
-        write_failure_sidecar(cache.failure_path(keys[idx]), args.sc->name,
+        write_failure_sidecar(cache.failure_path(keys[idx]), sc.name,
                               idx, err, cache.log_path(keys[idx]),
                               have_dump ? dump : std::string{});
         std::lock_guard<std::mutex> lock(stderr_mu);
@@ -526,7 +397,7 @@ int sweep_main(int argc, char** argv) {
   std::fprintf(stderr,
                "intox sweep: %s: %zu points (%zu cached, %zu executed, "
                "%zu failed)\n",
-               args.sc->name.c_str(), total, total - pending.size(),
+               sc.name.c_str(), total, total - pending.size(),
                executed.load(std::memory_order_relaxed),
                failed.load(std::memory_order_relaxed));
   finalize_session_trace(args, cache, keys);
@@ -539,9 +410,9 @@ int sweep_main(int argc, char** argv) {
   }
 
   MergeInput in;
-  in.scenario = args.sc->name;
-  in.family = args.sc->family;
-  in.axes = args.axes;
+  in.scenario = sc.name;
+  in.family = sc.family;
+  in.axes = axes;
   in.record_paths.reserve(total);
   int exit_code = 0;
   for (std::size_t i = 0; i < total; ++i) {
@@ -560,15 +431,11 @@ int sweep_main(int argc, char** argv) {
   }
   // The sweep's exit is the worst point exit, matching the serial
   // `intox run --sweep` contract.
-  for (std::size_t i = 0; i < total; ++i) {
-    std::FILE* f = std::fopen(in.record_paths[i].c_str(), "rb");
-    if (f == nullptr) continue;
-    std::string record;
-    char buf[1 << 16];
-    std::size_t n = 0;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) record.append(buf, n);
-    std::fclose(f);
-    exit_code = std::max(exit_code, record_exit_code(record));
+  std::string record;
+  for (const std::string& path : in.record_paths) {
+    if (read_file(path, &record)) {
+      exit_code = std::max(exit_code, record_exit_code(record));
+    }
   }
   return exit_code;
 }

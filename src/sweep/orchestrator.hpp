@@ -1,10 +1,18 @@
 // `intox sweep`: multi-process, resumable sweep orchestration.
 //
-// Same grammar as `intox run` plus three flags of its own:
+// The grammar `intox run` parses too (scenario/command_line.hpp, one
+// parser for both) plus three flags of its own:
 //
 //   intox sweep <scenario> [--set k=v] [--config F] [--sweep k=a:b:step]
-//               [--threads N] [--workers N] [--cache-dir DIR] [--out FILE]
-//               [--metrics-out FILE]
+//               [--threads N] [--metrics-out FILE] [--trace-out FILE]
+//               [--flightrec-out FILE]
+//               [--workers N] [--cache-dir DIR] [--out FILE]
+//
+// Workers get the --set/--sweep/--config/--threads flags as typed
+// (--threads 1 when none was given). The three sinks name the
+// orchestrator's own files: each worker gets a private flight-recorder
+// dump path and, when tracing, a private trace under the cache dir, and
+// the worker traces are merged into --trace-out at the end.
 //
 // The orchestrator enumerates the sweep cross product (sweep/point.hpp),
 // content-addresses every point (sweep/cache.hpp), writes the missing

@@ -115,6 +115,14 @@ Point point_at(const std::vector<SweepAxis>& axes, std::size_t index) {
   return point;
 }
 
+std::string apply_point(const Point& point, scenario::KnobSet* knobs) {
+  for (const auto& [key, value] : point) {
+    std::string err = knobs->set(key, value);
+    if (!err.empty()) return err;
+  }
+  return "";
+}
+
 std::string point_banner(const Point& point) {
   std::string banner;
   for (const auto& [key, value] : point) {

@@ -57,6 +57,10 @@ using Point = std::vector<std::pair<std::string, std::string>>;
 /// < point_count(axes).
 Point point_at(const std::vector<SweepAxis>& axes, std::size_t index);
 
+/// Sets each (key, value) of `point` on *knobs. Returns empty, or the
+/// first diagnostic (a sweep value outside the knob's declared range).
+std::string apply_point(const Point& point, scenario::KnobSet* knobs);
+
 /// The `[sweep] k=v k2=v2` banner body for a point (space-separated, in
 /// axis order) — the exact string the serial sweep path prints.
 std::string point_banner(const Point& point);

@@ -1,6 +1,6 @@
-// JSON serializer, strict --threads parsing (death tests — satellite
-// fix for the silently-ignored malformed value), and the BenchSession
-// report round-trip.
+// JSON serializer and the BenchSession report round-trip. The strict
+// --threads parsing is part of the shared command line and is tested
+// with the other CLI errors in tests/scenario/cli_test.cpp.
 #include "obs/report.hpp"
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <limits>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -19,10 +18,6 @@
 
 namespace intox::obs {
 namespace {
-
-char** fake_argv(std::vector<const char*>& store) {
-  return const_cast<char**>(store.data());
-}
 
 TEST(JsonEscape, EscapesQuotesBackslashesAndControls) {
   EXPECT_EQ(json_escape("plain"), "plain");
@@ -63,44 +58,6 @@ TEST(JsonWriter, NestedStructureAndCommas) {
             "\"raw\":{\"n\":3}}");
 }
 
-TEST(ParseThreads, AcceptsValidAndAbsent) {
-  std::vector<const char*> none{"bench", nullptr};
-  EXPECT_EQ(parse_threads_arg(1, fake_argv(none)), 0u);
-  std::vector<const char*> four{"bench", "--threads", "4", nullptr};
-  EXPECT_EQ(parse_threads_arg(3, fake_argv(four)), 4u);
-  std::vector<const char*> zero{"bench", "--threads", "0", nullptr};
-  EXPECT_EQ(parse_threads_arg(3, fake_argv(zero)), 0u);
-  // Unrelated flags are ignored (benches own their other arguments).
-  std::vector<const char*> other{"bench", "--runs", "7", nullptr};
-  EXPECT_EQ(parse_threads_arg(3, fake_argv(other)), 0u);
-}
-
-// The satellite fix: malformed / negative / missing values must fail
-// loudly with exit status 2, not silently run on the default count.
-TEST(ParseThreadsDeath, RejectsMalformed) {
-  std::vector<const char*> bad{"bench", "--threads", "banana", nullptr};
-  EXPECT_EXIT(parse_threads_arg(3, fake_argv(bad)),
-              ::testing::ExitedWithCode(2), "non-negative integer");
-}
-
-TEST(ParseThreadsDeath, RejectsNegative) {
-  std::vector<const char*> neg{"bench", "--threads", "-2", nullptr};
-  EXPECT_EXIT(parse_threads_arg(3, fake_argv(neg)),
-              ::testing::ExitedWithCode(2), "non-negative integer");
-}
-
-TEST(ParseThreadsDeath, RejectsTrailingGarbage) {
-  std::vector<const char*> junk{"bench", "--threads", "4x", nullptr};
-  EXPECT_EXIT(parse_threads_arg(3, fake_argv(junk)),
-              ::testing::ExitedWithCode(2), "non-negative integer");
-}
-
-TEST(ParseThreadsDeath, RejectsMissingValue) {
-  std::vector<const char*> dangling{"bench", "--threads", nullptr};
-  EXPECT_EXIT(parse_threads_arg(2, fake_argv(dangling)),
-              ::testing::ExitedWithCode(2), "requires a value");
-}
-
 TEST(SweepPerf, ImbalanceIsMaxOverMean) {
   SweepPerf p;
   EXPECT_EQ(p.shard_imbalance(), 0.0);  // unknown
@@ -111,10 +68,11 @@ TEST(SweepPerf, ImbalanceIsMaxOverMean) {
 }
 
 TEST(BenchSession, ParsesFlagsAndRegistersAsCurrent) {
-  std::vector<const char*> args{"bench", "--threads", "3",
-                                "--metrics-out", "/tmp/ignored.json", nullptr};
+  SessionOptions options;
+  options.threads = 3;
+  options.metrics_out = "/tmp/ignored.json";
   {
-    BenchSession session{5, fake_argv(args), "TEST-FAM"};
+    BenchSession session{"TEST-FAM", options};
     EXPECT_EQ(session.threads(), 3u);
     EXPECT_EQ(session.family(), "TEST-FAM");
     EXPECT_EQ(session.report_path(), "/tmp/ignored.json");
@@ -131,7 +89,7 @@ TEST(BenchSession, ReportCarriesSweepsMetricsAndInvariants) {
   validate::reset_invariant_violations();
   Registry::global().counter("test.report.counter").add(7);
 
-  BenchSession session{0, nullptr, "TEST-REPORT"};
+  BenchSession session{"TEST-REPORT"};
   SweepPerf sweep;
   sweep.name = "needs \"escaping\"";
   sweep.trials = 10;
@@ -165,9 +123,9 @@ TEST(BenchSession, ReportCarriesSweepsMetricsAndInvariants) {
 TEST(BenchSession, WriteRoundTripsThroughFile) {
   const std::string path = ::testing::TempDir() + "/intox_report_test.json";
   {
-    std::vector<const char*> args{"bench", "--metrics-out", path.c_str(),
-                                  nullptr};
-    BenchSession session{3, fake_argv(args), "TEST-WRITE"};
+    SessionOptions options;
+    options.metrics_out = path;
+    BenchSession session{"TEST-WRITE", options};
     SweepPerf sweep;
     sweep.name = "s";
     sweep.trials = 1;

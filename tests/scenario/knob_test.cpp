@@ -1,5 +1,5 @@
 // KnobSet: strict typed parsing with one-line diagnostics — the same
-// reject-don't-default contract obs::parse_threads_arg established.
+// reject-don't-default contract the command line keeps for --threads.
 #include "scenario/knob.hpp"
 
 #include <gtest/gtest.h>
