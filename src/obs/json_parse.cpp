@@ -279,23 +279,23 @@ bool json_parse(std::string_view input, JsonValue* out, std::string* error) {
   return parser.parse(out, error);
 }
 
+bool read_file(const std::string& path, std::string* out) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return false;
+  out->clear();
+  char buf[1 << 16];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out->append(buf, n);
+  const bool ok = std::ferror(f) == 0;
+  std::fclose(f);
+  return ok;
+}
+
 bool json_parse_file(const std::string& path, JsonValue* out,
                      std::string* error) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    if (error != nullptr) *error = "cannot open " + path;
-    return false;
-  }
   std::string content;
-  char buf[1 << 16];
-  std::size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof(buf), file)) > 0) {
-    content.append(buf, got);
-  }
-  const bool read_error = std::ferror(file) != 0;
-  std::fclose(file);
-  if (read_error) {
-    if (error != nullptr) *error = "error reading " + path;
+  if (!read_file(path, &content)) {
+    if (error != nullptr) *error = "cannot read " + path;
     return false;
   }
   return json_parse(content, out, error);

@@ -43,6 +43,10 @@ struct JsonValue {
 /// the first error (with byte offset) in `*error` when non-null.
 bool json_parse(std::string_view input, JsonValue* out, std::string* error);
 
+/// Reads the whole file at `path` into `*out`; false if it cannot be
+/// opened or read.
+bool read_file(const std::string& path, std::string* out);
+
 /// Reads and parses a whole file; distinguishes I/O from syntax errors
 /// in `*error`.
 bool json_parse_file(const std::string& path, JsonValue* out,

@@ -57,9 +57,9 @@ struct Tracer {
   std::uint32_t next_tid = 1;
   // Trace timestamps measure the host, not the simulation; they never
   // feed back into trial results or stdout.
-  // intox-lint: allow(determinism)  -- host-side trace timestamps only
+  // intox-analyze: allow(determinism)  -- host-side trace timestamps only
   std::chrono::steady_clock::time_point epoch =
-      // intox-lint: allow(determinism)  -- host-side trace timestamps only
+      // intox-analyze: allow(determinism)  -- host-side trace timestamps only
       std::chrono::steady_clock::now();
   bool atexit_installed = false;
 };
@@ -118,7 +118,7 @@ void set_trace_path(std::string path) {
   t.enabled.store(!t.path.empty(), std::memory_order_relaxed);
   // The analyzer attributes lambda bodies to their enclosing function;
   // the atexit lambda registered inside runs at process exit, unlocked.
-  // intox-analyze: allow(lockorder, atexit lambda runs at exit unlocked)
+  // intox-analyze: allow(lockorder)  -- atexit lambda runs at exit unlocked
   if (!t.path.empty()) install_atexit_locked(t);
 }
 
@@ -130,7 +130,7 @@ std::string trace_path() {
 
 double trace_now_us() {
   // Host-time span timestamps; see Tracer::epoch.
-  // intox-lint: allow(determinism)  -- host-side trace timestamps only
+  // intox-analyze: allow(determinism, taint)  -- host trace timestamps only
   const auto dt = std::chrono::steady_clock::now() - tracer().epoch;
   return std::chrono::duration<double, std::micro>(dt).count();
 }

@@ -109,7 +109,7 @@ void PytheasEngine::end_epoch() {
   // (Group::id) keeps the draw sequence reproducible.
   std::vector<Group*> ordered;
   ordered.reserve(groups_.size());
-  // intox-analyze: allow(taint, collection pass only; sorted by id below)
+  // intox-analyze: allow(taint)  -- collection pass only; sorted by id below
   for (auto& [key, group] : groups_) ordered.push_back(group.get());
   std::sort(ordered.begin(), ordered.end(),
             [](const Group* a, const Group* b) { return a->id < b->id; });

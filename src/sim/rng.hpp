@@ -68,8 +68,6 @@ class Rng {
     std::shuffle(c.begin(), c.end(), engine_);
   }
 
-  std::mt19937_64& engine() { return engine_; }
-
  private:
   std::mt19937_64 engine_;
   std::uint64_t seed_;

@@ -59,7 +59,7 @@ DecodeResult FlowRadar::decode() const {
     }
   }
 
-  // intox-analyze: allow(taint, collection pass only; flows sorted below)
+  // intox-analyze: allow(taint)  -- collection pass only; flows sorted below
   for (const auto& [flow, packets] : flow_packets) {
     result.flows.push_back({flow, packets});
   }

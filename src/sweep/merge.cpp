@@ -13,18 +13,6 @@
 
 namespace intox::sweep {
 
-bool read_file(const std::string& path, std::string* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  out->clear();
-  char buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out->append(buf, n);
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  return ok;
-}
-
 namespace {
 
 /// Running cross-point statistic for one metric. Accumulated in point
@@ -97,7 +85,7 @@ std::string render_merged_report(const MergeInput& in, std::string* error) {
   w.key("records").begin_array();
   std::string record;
   for (std::size_t i = 0; i < in.record_paths.size(); ++i) {
-    if (!read_file(in.record_paths[i], &record)) {
+    if (!obs::read_file(in.record_paths[i], &record)) {
       *error = "cannot read point record '" + in.record_paths[i] + "'";
       return "";
     }

@@ -31,9 +31,6 @@ struct MergeInput {
   std::vector<std::string> record_paths;
 };
 
-/// Reads the whole file at `path` into *out; false if it cannot.
-bool read_file(const std::string& path, std::string* out);
-
 /// Reads every record and renders the merged report document (with a
 /// trailing newline). Returns empty and sets *error on failure.
 std::string render_merged_report(const MergeInput& in, std::string* error);

@@ -23,6 +23,7 @@
 #include "net/hash.hpp"
 #include "obs/forensics.hpp"
 #include "obs/json.hpp"
+#include "obs/json_parse.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
@@ -295,7 +296,7 @@ int sweep_main(int argc, char** argv) {
   std::atomic<std::size_t> failed{0};
   // Orchestration wall time is perf telemetry (stderr + BENCH_SWEEP
   // report); point *results* are content-addressed and deterministic.
-  // intox-lint: allow(determinism)  -- perf telemetry, not results
+  // intox-analyze: allow(determinism)  -- perf telemetry, not results
   const auto start = std::chrono::steady_clock::now();
 
   std::size_t workers = 0;
@@ -381,7 +382,7 @@ int sweep_main(int argc, char** argv) {
   c_failed.add(failed.load(std::memory_order_relaxed));
 
   const double wall = std::chrono::duration<double>(
-      // intox-lint: allow(determinism)  -- orchestration perf telemetry
+      // intox-analyze: allow(determinism)  -- orchestration perf telemetry
       std::chrono::steady_clock::now() - start).count();
   obs::SweepPerf perf;
   perf.name = "sweep.orchestrator";
@@ -433,7 +434,7 @@ int sweep_main(int argc, char** argv) {
   // `intox run --sweep` contract.
   std::string record;
   for (const std::string& path : in.record_paths) {
-    if (read_file(path, &record)) {
+    if (obs::read_file(path, &record)) {
       exit_code = std::max(exit_code, record_exit_code(record));
     }
   }

@@ -6,7 +6,7 @@
 namespace intox::fixture {
 
 inline double unjustified_timer() {
-  // intox-lint: allow(determinism)
+  // intox-analyze: allow(determinism)
   const auto t = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(t.time_since_epoch()).count();
 }

@@ -117,5 +117,25 @@ TEST(JsonParse, FileVariantDistinguishesIo) {
   std::remove(path.c_str());
 }
 
+TEST(ReadFile, ReadsPastTheChunkByteForByte) {
+  // Three and a half 64 KiB chunks of every byte value, NULs included.
+  std::string bytes(3 * 65536 + 32768, '\0');
+  for (std::size_t i = 0; i < bytes.size(); ++i)
+    bytes[i] = static_cast<char>((i * 131 + i / 257) & 0xff);
+  const std::string path = ::testing::TempDir() + "read_file.bin";
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+
+  std::string got = "stale contents are replaced";
+  ASSERT_TRUE(read_file(path, &got));
+  EXPECT_EQ(got.size(), bytes.size());
+  EXPECT_TRUE(got == bytes);
+  std::remove(path.c_str());
+
+  EXPECT_FALSE(read_file("/nonexistent/read_file.bin", &got));
+}
+
 }  // namespace
 }  // namespace intox::obs

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <tuple>
+#include <utility>
 
 #include "compdb.hpp"
 
@@ -17,7 +18,8 @@ namespace fs = std::filesystem;
 namespace intox::analyze {
 namespace {
 
-const std::vector<std::string> kDefaultPaths = {"src", "tools"};
+const std::vector<std::string> kDefaultPaths = {"src", "bench", "tests",
+                                                "tools"};
 
 std::string read_file(const fs::path& p) {
   std::ifstream in(p, std::ios::binary);
@@ -29,43 +31,43 @@ std::string read_file(const fs::path& p) {
 }
 
 std::vector<std::string> collect_files(const Options& opts) {
+  const fs::path root(opts.root);
+  if (!fs::is_directory(root)) {
+    throw std::runtime_error("intox_analyze: root is not a directory: " +
+                             opts.root);
+  }
+  // A missing default directory is fine (a fixture mini-repo may only
+  // have src/); a path the user named must exist.
+  for (const std::string& p : opts.paths) {
+    if (!fs::exists(root / p)) {
+      throw std::runtime_error("intox_analyze: no such file or directory: " +
+                               (root / p).string());
+    }
+  }
   const std::vector<std::string>& subtrees =
       opts.paths.empty() ? kDefaultPaths : opts.paths;
   std::vector<std::string> files = walk_files(opts.root, subtrees);
   if (!opts.compdb_path.empty()) {
     // The compile DB is authoritative for translation units: keep its
     // TU set (validating the export), plus all walked headers.
-    const std::set<std::string> tus = [&] {
-      const auto v = compdb_files(opts.compdb_path, opts.root, subtrees);
-      return std::set<std::string>(v.begin(), v.end());
-    }();
-    auto ends_with = [](const std::string& s, const std::string& suf) {
-      return s.size() >= suf.size() &&
-             s.compare(s.size() - suf.size(), suf.size(), suf) == 0;
-    };
-    std::vector<std::string> merged;
-    for (const std::string& f : files) {
-      if (ends_with(f, ".hpp") || ends_with(f, ".h") || tus.count(f))
-        merged.push_back(f);
-    }
-    files = std::move(merged);
+    const std::vector<std::string> v =
+        compdb_files(opts.compdb_path, opts.root, subtrees);
+    const std::set<std::string> tus(v.begin(), v.end());
+    std::erase_if(files, [&](const std::string& f) {
+      return !classify(f).is_header && !tus.count(f);
+    });
   }
   return files;
 }
 
-struct Suppression {
-  std::string check;
-  bool justified = false;
-};
+// (line, check) named by a pragma -> whether it suppressed a finding.
+using Allowances = std::map<std::pair<int, std::string>, bool>;
 
-// line -> suppressions declared on that line.
-using SuppressionMap = std::map<int, std::vector<Suppression>>;
-
-SuppressionMap parse_suppressions(const std::string& source,
-                                  const std::string& rel_path,
-                                  std::vector<Finding>& malformed) {
+Allowances parse_pragmas(const std::string& source, const std::string& path,
+                         std::vector<Finding>& malformed) {
   static const std::regex re(R"(intox-analyze:\s*allow\(([^)]*)\))");
-  SuppressionMap out;
+  static const std::regex why_re(R"(^\s*--\s*\S)");
+  Allowances out;
   std::istringstream in(source);
   std::string line;
   int lineno = 0;
@@ -73,127 +75,65 @@ SuppressionMap parse_suppressions(const std::string& source,
     ++lineno;
     std::smatch m;
     if (!std::regex_search(line, m, re)) continue;
-    const std::string body = m[1].str();
-    const auto comma = body.find(',');
-    std::string check = body.substr(0, comma);
-    check.erase(0, check.find_first_not_of(" \t"));
-    check.erase(check.find_last_not_of(" \t") + 1);
-    std::string why =
-        comma == std::string::npos ? "" : body.substr(comma + 1);
-    why.erase(0, why.find_first_not_of(" \t"));
-    why.erase(why.find_last_not_of(" \t") + 1);
-    const auto& known = check_names();
-    if (std::find(known.begin(), known.end(), check) == known.end()) {
+    // Unexplained pragmas rot: nobody can tell later whether they are
+    // still needed or were ever sound.
+    if (!std::regex_search(m.suffix().str(), why_re)) {
       malformed.push_back(
-          {rel_path, lineno, "pragma",
-           "unknown check '" + check +
-               "' in intox-analyze pragma (see --list-checks)"});
+          {path, lineno, "pragma",
+           "suppression has no justification; write allow(" + m[1].str() +
+               ")  -- why this is safe here"});
       continue;
     }
-    if (why.empty()) {
-      malformed.push_back(
-          {rel_path, lineno, "pragma",
-           "suppression for '" + check +
-               "' has no justification; write allow(" + check +
-               ", why this is safe here)"});
-      continue;
+    std::istringstream list(m[1].str());
+    std::string check;
+    while (std::getline(list, check, ',')) {
+      check.erase(0, check.find_first_not_of(" \t"));
+      check.erase(check.find_last_not_of(" \t") + 1);
+      const auto& known = check_names();
+      if (std::find(known.begin(), known.end(), check) == known.end()) {
+        malformed.push_back({path, lineno, "pragma",
+                             "unknown check '" + check +
+                                 "' in pragma (see --list-checks)"});
+        continue;
+      }
+      out[{lineno, check}] = false;
     }
-    out[lineno].push_back({check, true});
   }
   return out;
 }
 
-struct BaselineEntry {
-  std::string path;
-  std::string check;
-  int allowed = 0;
-  int used = 0;
+// Everything one pass over the file set produces.
+struct Scan {
+  Index index;
+  std::map<std::string, Allowances> allowances;  // by path
+  std::vector<Finding> findings;  // per-file checks and malformed pragmas
+  int files = 0;
 };
 
-std::vector<BaselineEntry> load_baseline(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::runtime_error("intox_analyze: cannot read baseline: " + path);
+Scan scan(const Options& opts) {
+  Scan s;
+  for (const std::string& rel : collect_files(opts)) {
+    const std::string source = read_file(fs::path(opts.root) / rel);
+    const TokenStream toks = tokenize(source);
+    const FileClass fc = classify(rel);
+    s.allowances[rel] = parse_pragmas(source, rel, s.findings);
+    check_file(rel, fc, toks, s.findings);
+    if (fc.indexed) index_file(rel, source, toks, s.index);
+    ++s.files;
   }
-  std::vector<BaselineEntry> out;
-  std::string line;
-  int lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line = line.substr(0, hash);
-    line.erase(0, line.find_first_not_of(" \t"));
-    line.erase(line.find_last_not_of(" \t\r") + 1);
-    if (line.empty()) continue;
-    const auto last = line.rfind(':');
-    const auto mid = last == std::string::npos ? std::string::npos
-                                               : line.rfind(':', last - 1);
-    if (mid == std::string::npos) {
-      throw std::runtime_error("intox_analyze: malformed baseline line " +
-                               std::to_string(lineno) +
-                               " (want path:check:count): " + line);
-    }
-    BaselineEntry e;
-    e.path = line.substr(0, mid);
-    e.check = line.substr(mid + 1, last - mid - 1);
-    try {
-      e.allowed = std::stoi(line.substr(last + 1));
-    } catch (const std::exception&) {
-      throw std::runtime_error("intox_analyze: bad count in baseline line " +
-                               std::to_string(lineno) + ": " + line);
-    }
-    out.push_back(std::move(e));
-  }
-  return out;
+  finalize_index(s.index);
+  return s;
 }
 
 }  // namespace
 
-Index build_index(const Options& opts) {
-  const fs::path root(opts.root);
-  if (!fs::is_directory(root)) {
-    throw std::runtime_error("intox_analyze: root is not a directory: " +
-                             opts.root);
-  }
-  Index index;
-  for (const std::string& rel : collect_files(opts)) {
-    index_file(rel, read_file(root / rel), index);
-  }
-  finalize_index(index);
-  return index;
-}
+Index build_index(const Options& opts) { return scan(opts).index; }
 
 RunResult run_analyze(const Options& opts, std::ostream& explain_out) {
-  const fs::path root(opts.root);
-  if (!fs::is_directory(root)) {
-    throw std::runtime_error("intox_analyze: root is not a directory: " +
-                             opts.root);
-  }
+  Scan s = scan(opts);
+  std::vector<Finding>& raw = s.findings;
 
-  std::vector<BaselineEntry> baseline;
-  if (!opts.baseline_path.empty()) baseline = load_baseline(opts.baseline_path);
-
-  RunResult result;
-  std::vector<Finding> raw;
-
-  struct FileState {
-    SuppressionMap suppressions;
-    std::set<int> used_pragma_lines;
-  };
-  std::map<std::string, FileState> files;
-
-  Index index;
-  for (const std::string& rel : collect_files(opts)) {
-    const std::string source = read_file(root / rel);
-    files[rel].suppressions = parse_suppressions(source, rel, raw);
-    index_file(rel, source, index);
-    ++result.files_scanned;
-  }
-  finalize_index(index);
-
-  const CallGraph graph(index);
-
-  auto check_enabled = [&](const std::string& check) {
+  auto enabled = [&](const std::string& check) {
     return opts.only_checks.empty() ||
            std::find(opts.only_checks.begin(), opts.only_checks.end(),
                      check) != opts.only_checks.end();
@@ -201,62 +141,46 @@ RunResult run_analyze(const Options& opts, std::ostream& explain_out) {
   auto explain_for = [&](const std::string& check) -> std::ostream* {
     return opts.explain_check == check ? &explain_out : nullptr;
   };
+  auto runs = [&](const std::string& check) {
+    return enabled(check) || opts.explain_check == check;
+  };
 
-  if (check_enabled("sigsafe") || opts.explain_check == "sigsafe")
-    check_sigsafe(graph, raw, explain_for("sigsafe"));
-  if (check_enabled("taint") || opts.explain_check == "taint")
-    check_taint(graph, raw, explain_for("taint"));
-  if (check_enabled("lockorder") || opts.explain_check == "lockorder")
+  check_metrics(s.index, raw);
+  const CallGraph graph(s.index);
+  if (runs("sigsafe")) check_sigsafe(graph, raw, explain_for("sigsafe"));
+  if (runs("taint")) check_taint(graph, raw, explain_for("taint"));
+  if (runs("lockorder"))
     check_lockorder(graph, raw, explain_for("lockorder"));
-  if (check_enabled("atomics") || opts.explain_check == "atomics")
-    check_atomics(graph, raw, explain_for("atomics"));
+  if (runs("atomics")) check_atomics(graph, raw, explain_for("atomics"));
 
+  RunResult result;
+  result.files_scanned = s.files;
   for (Finding& f : raw) {
-    if (!check_enabled(f.check)) continue;
+    if (!enabled(f.check)) continue;
     if (f.check != "pragma") {
-      FileState& st = files[f.path];
-      bool suppressed = false;
-      for (int line : {f.line, f.line - 1}) {
-        const auto it = st.suppressions.find(line);
-        if (it == st.suppressions.end()) continue;
-        for (const Suppression& s : it->second) {
-          if (s.check == f.check) {
-            st.used_pragma_lines.insert(line);
-            suppressed = true;
-            break;
-          }
-        }
-        if (suppressed) break;
-      }
-      if (suppressed) {
+      // Same line or the line directly above.
+      Allowances& allow = s.allowances[f.path];
+      auto it = allow.find({f.line, f.check});
+      if (it == allow.end()) it = allow.find({f.line - 1, f.check});
+      if (it != allow.end()) {
+        it->second = true;
         ++result.suppressed;
         continue;
       }
     }
-    bool baselined = false;
-    for (BaselineEntry& e : baseline) {
-      if (e.path == f.path && e.check == f.check && e.used < e.allowed) {
-        ++e.used;
-        baselined = true;
-        break;
-      }
-    }
-    (baselined ? result.baselined : result.findings).push_back(std::move(f));
+    result.findings.push_back(std::move(f));
   }
 
-  // Stale pragmas rot the suppression inventory; only meaningful when
-  // every check ran.
-  if (opts.only_checks.empty()) {
-    for (auto& [path, st] : files) {
-      for (const auto& [line, supps] : st.suppressions) {
-        if (st.used_pragma_lines.count(line)) continue;
-        std::string joined;
-        for (const Suppression& s : supps)
-          joined += (joined.empty() ? "" : ", ") + s.check;
+  // A named check that suppressed nothing is stale; only checks that
+  // ran can tell.
+  if (enabled("pragma")) {
+    for (const auto& [path, allow] : s.allowances) {
+      for (const auto& [key, used] : allow) {
+        if (used || !enabled(key.second)) continue;
         result.findings.push_back(
-            {path, line, "pragma",
-             "suppression for '" + joined +
-                 "' matches no finding; delete the stale pragma"});
+            {path, key.first, "pragma",
+             "suppression for '" + key.second +
+                 "' matches no finding; remove it from the pragma"});
       }
     }
   }

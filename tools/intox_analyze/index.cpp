@@ -5,14 +5,9 @@
 #include <cstring>
 #include <sstream>
 
-#include "lexer.hpp"
+#include "checks.hpp"
 
 namespace intox::analyze {
-
-using cxxlex::Token;
-using cxxlex::TokenKind;
-using cxxlex::TokenStream;
-
 namespace {
 
 bool is_kw(const Token& t, const char* kw) {
@@ -58,13 +53,10 @@ bool is_unordered_type_name(const std::string& s) {
 
 // Qualified-name mentions the checks watch even when not called.
 bool is_watched_mention(const std::string& chain) {
-  static const std::array<const char*, 12> kWatched = {
-      "std::string",        "std::cout",
-      "std::cerr",          "std::clog",
-      "std::ostringstream", "std::stringstream",
-      "std::istringstream", "std::random_device",
-      "random_device",      "std::chrono::system_clock",
-      "std::chrono::steady_clock", "std::chrono::high_resolution_clock"};
+  static const std::array<const char*, 7> kWatched = {
+      "std::string",        "std::cout",         "std::cerr",
+      "std::clog",          "std::ostringstream", "std::stringstream",
+      "std::istringstream"};
   return std::find_if(kWatched.begin(), kWatched.end(), [&](const char* k) {
            return chain == k;
          }) != kWatched.end();
@@ -75,6 +67,11 @@ bool is_atomic_op_name(const std::string& s) {
          s == "fetch_add" || s == "fetch_sub" || s == "fetch_or" ||
          s == "fetch_and" || s == "fetch_xor" ||
          s == "compare_exchange_weak" || s == "compare_exchange_strong";
+}
+
+bool is_metric_registration(const std::string& last) {
+  return last == "counter" || last == "gauge" || last == "histogram" ||
+         last == "register_external_counter";
 }
 
 bool is_lock_guard_type(const std::string& last) {
@@ -627,11 +624,14 @@ class Indexer {
         // Variable initializer (possibly a lambda): skip to the
         // statement end, braces balanced.
         skip_statement(j);
+        record_metrics_in(j, i_);
         return;
       }
       if (is_punct(t, "{")) {
         // Brace initializer at declaration scope.
+        const std::size_t open = j;
         j = skip_braces(j);
+        record_metrics_in(open, j);
         continue;
       }
       if (is_punct(t, "<")) {
@@ -979,11 +979,7 @@ class Indexer {
     // LOCK_SH acquires the first argument; LOCK_UN releases it.
     record_flock_if_present(end, line);
 
-    // Metric registrations.
-    if (last == "counter" || last == "gauge" || last == "histogram" ||
-        last == "register_external_counter") {
-      maybe_record_metric(last, end, line);
-    }
+    if (is_metric_registration(last)) maybe_record_metric(end);
 
     // `::signal(SIGINT, handler)` registrations.
     if (last == "signal" || last == "bsd_signal") {
@@ -994,27 +990,19 @@ class Indexer {
     i_ = end;
   }
 
-  // Chains containing a clock or random_device component are watched at
-  // any position ("steady_clock::now" under a using-declaration too);
+  // Chains containing a banned entropy or clock type are watched at any
+  // position ("steady_clock::now" under a using-declaration too);
   // string/iostream names match the whole chain only.
   void record_mentions(const std::string& chain, int line) {
     std::istringstream parts(chain);
     std::string comp;
-    bool recorded = false;
     while (std::getline(parts, comp, ':')) {
-      if (comp.empty()) continue;
-      if (comp == "random_device") {
-        fn().dangers.push_back({"std::random_device", line});
-        recorded = true;
-      } else if (comp == "system_clock" || comp == "steady_clock" ||
-                 comp == "high_resolution_clock") {
-        fn().dangers.push_back({"std::chrono::" + comp, line});
-        recorded = true;
-      }
+      if (banned_source(comp) != Banned::kType) continue;
+      fn().dangers.push_back(
+          {(comp == "random_device" ? "std::" : "std::chrono::") + comp,
+           line});
     }
-    if (!recorded && is_watched_mention(chain)) {
-      fn().dangers.push_back({chain, line});
-    }
+    if (is_watched_mention(chain)) fn().dangers.push_back({chain, line});
   }
 
   void record_scoped_lock(std::size_t j, int line) {
@@ -1104,15 +1092,22 @@ class Indexer {
          lock_node(arg) + "(flock)", line, block_depth(), seq_++});
   }
 
-  void maybe_record_metric(const std::string& kind_fn, std::size_t open,
-                           int line) {
-    std::size_t j = open + 1;
-    if (at_end(j)) return;
-    if (tok(j).kind != TokenKind::kString) return;
-    std::string kind = kind_fn == "register_external_counter"
-                           ? "external"
-                           : kind_fn;
-    out_.metric_regs.push_back({kind, tok(j).text, rel_, line});
+  // Registrations in an initializer outside any function body
+  // (namespace-scope variables, default member initializers).
+  void record_metrics_in(std::size_t from, std::size_t to) {
+    for (std::size_t k = from; k + 1 < to; ++k) {
+      if (is_ident(tok(k)) && is_metric_registration(tok(k).text) &&
+          is_punct(tok(k + 1), "(")) {
+        maybe_record_metric(k + 1);
+      }
+    }
+  }
+
+  // The recorded line is the name literal's, where a suppression goes.
+  void maybe_record_metric(std::size_t open) {
+    const std::size_t j = open + 1;
+    if (at_end(j) || tok(j).kind != TokenKind::kString) return;
+    out_.metric_regs.push_back({tok(j).text, rel_, tok(j).line});
   }
 
   void maybe_record_signal_call(std::size_t open, int line) {
@@ -1200,9 +1195,8 @@ class Indexer {
 }  // namespace
 
 void index_file(const std::string& rel_path, const std::string& source,
-                Index& index) {
+                const TokenStream& toks, Index& index) {
   const std::size_t first_fn = index.functions.size();
-  const cxxlex::TokenStream toks = cxxlex::tokenize(source);
   Indexer(rel_path, toks, index).run();
 
   // Attach hot-lane markers from raw lines: a marker applies to the

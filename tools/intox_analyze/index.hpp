@@ -1,9 +1,9 @@
 // The whole-program index intox_analyze builds before running checks.
 //
 // This is a *lightweight* semantic model, not a compiler front end: a
-// scope-tracking pass over the shared cxxlex token stream recovers
-// namespaces, classes, function definitions with qualified names, and —
-// inside each function body — the events the checks care about: call
+// scope-tracking pass over the token stream recovers namespaces,
+// classes, function definitions with qualified names, and — inside
+// each function body — the events the checks care about: call
 // sites, lock acquisitions/releases, atomic operations with their
 // memory orders, range-for iteration over unordered containers, and
 // "danger" mentions (new-expressions, throw, std::string, iostreams).
@@ -17,6 +17,8 @@
 #include <set>
 #include <string>
 #include <vector>
+
+#include "lexer.hpp"
 
 namespace intox::analyze {
 
@@ -81,10 +83,10 @@ struct FunctionDef {
   std::vector<DangerEvent> dangers;
 };
 
-/// A metric registered by name from C++ (`.counter("x")`, `.gauge("x")`,
-/// `.histogram("x", ...)`, `register_external_counter("x", ...)`).
+/// A metric registered by name (`.counter("x")`, `.gauge("x")`,
+/// `.histogram("x", ...)`, `register_external_counter("x", ...)`), in a
+/// function body or an initializer. `line` is the name literal's.
 struct MetricReg {
-  std::string kind;  // "counter" | "gauge" | "histogram" | "external"
   std::string name;
   std::string file;
   int line = 0;
@@ -125,9 +127,11 @@ struct Index {
   std::map<std::string, std::set<std::string>> var_types;
 };
 
-/// Indexes one file's source into `index`. `rel_path` is repo-relative.
+/// Indexes one file into `index`: `toks` is tokenize(source), and
+/// hot-lane markers are read from the raw `source` lines. `rel_path` is
+/// repo-relative.
 void index_file(const std::string& rel_path, const std::string& source,
-                Index& index);
+                const TokenStream& toks, Index& index);
 
 /// Second pass after all files are indexed: resolves unordered-iteration
 /// events that were deferred because the container's declaration lives

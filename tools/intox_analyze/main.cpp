@@ -1,12 +1,16 @@
-// intox_analyze — whole-program semantic checks over the intox tree.
+// intox_analyze — the project's static checker: per-file conventions
+// (determinism, invariant, metrics, header, pragma) and whole-program
+// semantic checks (sigsafe, taint, lockorder, atomics) over one walk.
 //
 // Usage:
-//   intox_analyze [--root DIR] [--compdb FILE] [--baseline FILE]
-//                 [--check NAME]... [--explain NAME]
-//                 [--dump-metric-names] [--list-checks] [PATH]...
+//   intox_analyze [--root DIR] [--compdb FILE] [--check NAME]...
+//                 [--explain NAME] [--dump-metric-names] [--list-checks]
+//                 [PATH]...
 //
-// PATHs are subtrees relative to --root (default: src tools). Exit 0 on
-// a clean run, 1 when findings remain, 2 on usage/environment errors.
+// PATHs are files or subtrees relative to --root (default: src bench
+// tests tools). Findings print as `path:line: [check] message` on
+// stdout; the summary goes to stderr. Exit 0 on a clean run, 1 when
+// findings remain, 2 on usage/environment errors.
 #include <algorithm>
 #include <exception>
 #include <iostream>
@@ -19,10 +23,13 @@
 namespace {
 
 int usage(std::ostream& out, int code) {
-  out << "usage: intox_analyze [--root DIR] [--compdb FILE]\n"
-         "                     [--baseline FILE] [--check NAME]...\n"
+  out << "usage: intox_analyze [--root DIR] [--compdb FILE] [--check NAME]...\n"
          "                     [--explain NAME] [--dump-metric-names]\n"
-         "                     [--list-checks] [PATH]...\n";
+         "                     [--list-checks] [PATH]...\n"
+         "\n"
+         "Checks PATHs (default: src bench tests tools, relative to --root).\n"
+         "Suppress a finding with a justified allow pragma on the same or\n"
+         "preceding line (syntax: README, \"Static analysis\").\n";
   return code;
 }
 
@@ -44,8 +51,6 @@ int main(int argc, char** argv) {
       opts.root = next("--root");
     } else if (arg == "--compdb") {
       opts.compdb_path = next("--compdb");
-    } else if (arg == "--baseline") {
-      opts.baseline_path = next("--baseline");
     } else if (arg == "--check") {
       opts.only_checks.push_back(next("--check"));
     } else if (arg == "--explain") {
@@ -66,20 +71,15 @@ int main(int argc, char** argv) {
     }
   }
 
+  std::vector<std::string> named = opts.only_checks;
+  if (!opts.explain_check.empty()) named.push_back(opts.explain_check);
   const auto& known = intox::analyze::check_names();
-  for (const std::string& c : opts.only_checks) {
+  for (const std::string& c : named) {
     if (std::find(known.begin(), known.end(), c) == known.end()) {
       std::cerr << "intox_analyze: unknown check: " << c
                 << " (see --list-checks)\n";
       return 2;
     }
-  }
-  if (!opts.explain_check.empty() &&
-      std::find(known.begin(), known.end(), opts.explain_check) ==
-          known.end()) {
-    std::cerr << "intox_analyze: unknown check: " << opts.explain_check
-              << " (see --list-checks)\n";
-    return 2;
   }
 
   try {
@@ -96,9 +96,8 @@ int main(int argc, char** argv) {
         intox::analyze::run_analyze(opts, std::cout);
     intox::analyze::print_findings(std::cout, result.findings);
     std::cerr << "intox_analyze: " << result.files_scanned << " files, "
-              << result.findings.size() << " findings, "
-              << result.baselined.size() << " baselined, "
-              << result.suppressed << " suppressed\n";
+              << result.findings.size() << " findings, " << result.suppressed
+              << " suppressed\n";
     return result.findings.empty() ? 0 : 1;
   } catch (const std::exception& e) {
     std::cerr << e.what() << "\n";
