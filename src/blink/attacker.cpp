@@ -50,27 +50,12 @@ Fig2Result run_fig2_experiment(const Fig2Config& config) {
     node.process(p, meta, sched.now());
   };
 
+  // Bots send at the legitimate per-flow packet rate, so a freed cell is
+  // won by a malicious flow with probability ~= the flow fraction q_m.
   trafficgen::FlowPopulation pop{sched, rng.fork("drivers"), sink};
-  {
-    sim::Rng trace_rng = rng.fork("trace");
-    for (const auto& f :
-       trafficgen::synthesize_trace(config.trace, trace_rng)) {
-      pop.add_legit(f);
-    }
-  }
-  {
-    sim::Rng bad_rng = rng.fork("malicious");
-    trafficgen::MaliciousFlowDriver::Options opts;
-    // Match the legitimate per-flow packet rate so a freed cell is won by
-    // a malicious flow with probability ~= the flow fraction q_m.
-    opts.send_period = config.trace.pkt_interval;
-    opts.repeats_per_seq = 2;
-    for (const auto& f : trafficgen::synthesize_malicious_flows(
-             config.trace, config.malicious_flows, /*start=*/0, bad_rng,
-             kMaliciousTagBase)) {
-      pop.add_malicious(f, opts);
-    }
-  }
+  pop.add_trace(config.trace, rng.fork("trace"));
+  pop.add_bots(config.trace, config.malicious_flows, /*start=*/0,
+               rng.fork("malicious"), kMaliciousTagBase);
 
   Fig2Result result;
   const FlowSelector* selector = node.selector(config.trace.victim_prefix);

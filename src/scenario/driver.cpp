@@ -201,7 +201,7 @@ int cmd_run(int argc, char** argv) {
       std::printf("[sweep] %s\n", sweep::point_banner(pt).c_str());
     }
     Ctx ctx{knobs, console, runner};
-    exit_code = std::max(exit_code, sc.run(ctx).exit_code);
+    exit_code = std::max(exit_code, sc.run(ctx));
   }
   if (recording) {
     obs::PointRecord record;
@@ -244,9 +244,9 @@ int cmd_validate(int argc, char** argv) {
     std::string verdict = "OK";
     try {
       Ctx ctx{knobs, console, runner};
-      Table table = sc->run(ctx);
-      if (table.exit_code != 0) {
-        verdict = "FAIL (exit " + std::to_string(table.exit_code) + ")";
+      const int exit_code = sc->run(ctx);
+      if (exit_code != 0) {
+        verdict = "FAIL (exit " + std::to_string(exit_code) + ")";
         ++failures;
       }
     } catch (const validate::InvariantError& e) {

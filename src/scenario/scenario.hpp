@@ -12,11 +12,6 @@
 
 namespace intox::scenario {
 
-/// What a scenario run leaves behind: the process exit code.
-struct Table {
-  int exit_code = 0;
-};
-
 /// Everything a scenario body may touch. The driver owns thread-count
 /// resolution and the observability session (--threads / --metrics-out /
 /// --trace-out, INTOX_*); the body only sees the resolved runner and the
@@ -36,7 +31,8 @@ class Ctx {
 };
 
 using DeclareKnobsFn = void (*)(KnobSet&);
-using RunFn = Table (*)(Ctx&);
+/// Runs the scenario body; returns the process exit code.
+using RunFn = int (*)(Ctx&);
 
 /// One registered experiment. `family` keys the BENCH_<family>.json run
 /// report exactly as the pre-registry bench binaries did.

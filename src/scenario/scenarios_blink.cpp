@@ -29,7 +29,7 @@ void declare_fig2(KnobSet& knobs) {
                     1, 1999);
 }
 
-Table run_fig2(Ctx& ctx) {
+int run_fig2(Ctx& ctx) {
   const std::size_t runs = ctx.knobs.u("runs");
   const std::size_t bots = ctx.knobs.u("bots");
   ctx.out.header("FIG2", "malicious flows in Blink's sample over time");
@@ -104,7 +104,7 @@ Table run_fig2(Ctx& ctx) {
   ctx.out.note("closed form slightly leads the packet-level runs: only ~52 "
                "of 64 cells are reachable by 105 hashed flows (capture "
                "ceiling).");
-  return Table{};
+  return 0;
 }
 
 INTOX_REGISTER_SCENARIO(kFig2,
@@ -126,7 +126,7 @@ void declare_tr_sweep(KnobSet& knobs) {
   knobs.declare_u64("mc_seed", 7, "Monte-Carlo base seed");
 }
 
-Table run_tr_sweep(Ctx& ctx) {
+int run_tr_sweep(Ctx& ctx) {
   ctx.out.header("BLINK-TR",
                  "attack feasibility vs sampled-flow residency t_R");
   const std::size_t n = ctx.knobs.u("cells");
@@ -207,7 +207,7 @@ Table run_tr_sweep(Ctx& ctx) {
   ctx.out.claim(budget_helps,
                 "shorter reset periods shrink the attack window (defense "
                 "lever, at the cost of re-learning the sample)");
-  return Table{};
+  return 0;
 }
 
 INTOX_REGISTER_SCENARIO(kTrSweep,
@@ -225,7 +225,7 @@ void declare_e2e(KnobSet& knobs) {
   knobs.declare_u64("seed", 2024, "top-level experiment seed");
 }
 
-Table run_e2e(Ctx& ctx) {
+int run_e2e(Ctx& ctx) {
   ctx.out.header("BLINK-E2E", "traffic hijack via fake retransmissions");
 
   sim::Scheduler sched;
@@ -267,22 +267,9 @@ Table run_e2e(Ctx& ctx) {
         ++injected;
         source.inject(0, std::move(p));
       }};
-  {
-    sim::Rng trng = rng.fork("trace");
-    for (const auto& f : trafficgen::synthesize_trace(trace, trng)) {
-      pop.add_legit(f);
-    }
-  }
-  {
-    sim::Rng brng = rng.fork("bots");
-    trafficgen::MaliciousFlowDriver::Options opts;
-    opts.send_period = trace.pkt_interval;
-    for (const auto& f : trafficgen::synthesize_malicious_flows(
-             trace, ctx.knobs.u("bots"), 0, brng,
-             blink::kMaliciousTagBase)) {
-      pop.add_malicious(f, opts);
-    }
-  }
+  pop.add_trace(trace, rng.fork("trace"));
+  pop.add_bots(trace, ctx.knobs.u("bots"), 0, rng.fork("bots"),
+               blink::kMaliciousTagBase);
 
   // Time the simulation span and record injected-packets/sec as a perf
   // sweep. Goes to stderr + the BENCH json only, never stdout, so the
@@ -330,7 +317,7 @@ Table run_e2e(Ctx& ctx) {
                 "hijacked");
   ctx.out.note("no TCP handshake was ever performed: malicious drivers "
                "emit raw duplicate segments only (cf. §3.1).");
-  return Table{};
+  return 0;
 }
 
 INTOX_REGISTER_SCENARIO(kE2e,

@@ -42,20 +42,9 @@ BlinkRun run_blink(bool attack, bool genuine_failure,
     node.process(p, meta, sched.now());
   };
   trafficgen::FlowPopulation pop{sched, rng.fork("drivers"), sink};
-  {
-    sim::Rng trng = rng.fork("trace");
-    for (const auto& f : trafficgen::synthesize_trace(trace, trng)) {
-      pop.add_legit(f);
-    }
-  }
+  pop.add_trace(trace, rng.fork("trace"));
   if (attack) {
-    sim::Rng brng = rng.fork("bots");
-    trafficgen::MaliciousFlowDriver::Options opts;
-    opts.send_period = trace.pkt_interval;
-    for (const auto& f : trafficgen::synthesize_malicious_flows(
-             trace, 105, 0, brng, blink::kMaliciousTagBase)) {
-      pop.add_malicious(f, opts);
-    }
+    pop.add_bots(trace, 105, 0, rng.fork("bots"), blink::kMaliciousTagBase);
   }
   pop.start_all();
   if (genuine_failure) {
@@ -146,7 +135,7 @@ void declare_defense(KnobSet& knobs) {
   knobs.declare_u64("pcc_seed", 5, "PCC guard experiment seed");
 }
 
-Table run_defense(Ctx& ctx) {
+int run_defense(Ctx& ctx) {
   ctx.out.header("DEFENSE",
                  "§5 supervisors vs the three case-study attacks");
 
@@ -258,7 +247,7 @@ Table run_defense(Ctx& ctx) {
                 "probe-targeted loss pattern detected");
   ctx.out.claim(pcc_defended.amp < pcc_attack.amp,
                 "epsilon clamp shrinks the attacker-induced oscillation");
-  return Table{};
+  return 0;
 }
 
 INTOX_REGISTER_SCENARIO(kDefense,

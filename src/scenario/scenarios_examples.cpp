@@ -34,7 +34,7 @@ void declare_quickstart(KnobSet& knobs) {
   knobs.declare_u64("seed", 42, "workload seed");
 }
 
-Table run_quickstart(Ctx& ctx) {
+int run_quickstart(Ctx& ctx) {
   sim::Scheduler sched;
   sim::Network net{sched};
 
@@ -61,16 +61,9 @@ Table run_quickstart(Ctx& ctx) {
   trafficgen::FlowPopulation pop{
       sched, rng.fork("drivers"),
       [&](net::Packet p) { src.inject(0, std::move(p)); }};
-  sim::Rng trace_rng = rng.fork("trace");
-  for (const auto& f : trafficgen::synthesize_trace(cfg, trace_rng)) {
-    pop.add_legit(f);
-  }
-  sim::Rng bad_rng = rng.fork("malicious");
-  for (const auto& f : trafficgen::synthesize_malicious_flows(
-           cfg, ctx.knobs.u("malicious"), sim::seconds(1), bad_rng,
-           1u << 20)) {
-    pop.add_malicious(f);
-  }
+  pop.add_trace(cfg, rng.fork("trace"));
+  pop.add_bots(cfg, ctx.knobs.u("malicious"), sim::seconds(1),
+               rng.fork("malicious"), 1u << 20);
 
   pop.start_all();
   sched.run_until(horizon);
@@ -87,9 +80,7 @@ Table run_quickstart(Ctx& ctx) {
               static_cast<unsigned long long>(delivered));
   ctx.out.raw("  events:     %llu processed\n",
               static_cast<unsigned long long>(sched.events_processed()));
-  Table table;
-  table.exit_code = delivered > 0 ? 0 : 1;
-  return table;
+  return delivered > 0 ? 0 : 1;
 }
 
 INTOX_REGISTER_SCENARIO(kQuickstart,
@@ -106,7 +97,7 @@ void declare_hijack(KnobSet& knobs) {
   knobs.declare_u64("trials", 8, "seeded Monte-Carlo trials", 1, 100000);
 }
 
-Table run_hijack(Ctx& ctx) {
+int run_hijack(Ctx& ctx) {
   const std::size_t bots = ctx.knobs.u("bots");
   const std::size_t trials = ctx.knobs.u("trials");
 
@@ -175,7 +166,7 @@ Table run_hijack(Ctx& ctx) {
       trials, hijacked, majority_times.mean(), majority_times.min(),
       majority_times.max());
   ctx.perf("BLINK-HIJACK");
-  return Table{};
+  return 0;
 }
 
 INTOX_REGISTER_SCENARIO(kHijack,
@@ -192,7 +183,7 @@ void declare_mitm(KnobSet& knobs) {
   knobs.declare_u64("seed", 7, "experiment seed");
 }
 
-Table run_mitm(Ctx& ctx) {
+int run_mitm(Ctx& ctx) {
   const bool attack = ctx.knobs.b("attack");
 
   pcc::PccExperimentConfig cfg;
@@ -226,7 +217,7 @@ Table run_mitm(Ctx& ctx) {
                 100.0 * static_cast<double>(r.attacker_dropped) /
                     static_cast<double>(r.attacker_observed));
   }
-  return Table{};
+  return 0;
 }
 
 INTOX_REGISTER_SCENARIO(kMitm,
@@ -243,7 +234,7 @@ void declare_streaming(KnobSet& knobs) {
                     100000);
 }
 
-Table run_streaming(Ctx& ctx) {
+int run_streaming(Ctx& ctx) {
   const bool defend = ctx.knobs.b("defend");
 
   pytheas::PoisonConfig cfg;
@@ -282,7 +273,7 @@ Table run_streaming(Ctx& ctx) {
         static_cast<unsigned long long>(guard->rate_limited()),
         static_cast<unsigned long long>(guard->quarantined()));
   }
-  return Table{};
+  return 0;
 }
 
 INTOX_REGISTER_SCENARIO(kStreaming,
@@ -299,7 +290,7 @@ void declare_traceroute(KnobSet& knobs) {
                     100);
 }
 
-Table run_traceroute(Ctx& ctx) {
+int run_traceroute(Ctx& ctx) {
   const std::size_t rows = ctx.knobs.u("rows");
   const std::size_t cols = ctx.knobs.u("cols");
   const auto last = static_cast<nethide::NodeId>(rows * cols - 1);
@@ -381,7 +372,7 @@ Table run_traceroute(Ctx& ctx) {
   ctx.out.raw(
       "  (the second hop is really 10.255.0.2 — the ICMP source was "
       "forged to 203.0.113.77)\n");
-  return Table{};
+  return 0;
 }
 
 INTOX_REGISTER_SCENARIO(kTraceroute,
@@ -397,7 +388,7 @@ void declare_synthesis(KnobSet& knobs) {
   knobs.declare_u64("seed", 7, "fuzzer seed");
 }
 
-Table run_synthesis(Ctx& ctx) {
+int run_synthesis(Ctx& ctx) {
   const net::Prefix kVictim{net::Ipv4Addr{10, 0, 0, 0}, 8};
 
   supervisor::SynthConfig cfg;
@@ -436,9 +427,7 @@ Table run_synthesis(Ctx& ctx) {
   if (!result.found) {
     ctx.out.raw("no attack found in %zu iterations (best score %.0f)\n",
                 result.iterations, result.best_score);
-    Table table;
-    table.exit_code = 1;
-    return table;
+    return 1;
   }
 
   ctx.out.raw("ATTACK FOUND after %zu candidate sequences.\n",
@@ -470,7 +459,7 @@ Table run_synthesis(Ctx& ctx) {
       "\nthe fuzzer rediscovered the paper's attack recipe: keep "
       "flows alive and\nretransmit in synchronized bursts — exactly "
       "the §3.1 construction.\n");
-  return Table{};
+  return 0;
 }
 
 INTOX_REGISTER_SCENARIO(kSynthesis,
@@ -485,7 +474,7 @@ void declare_steering(KnobSet& knobs) {
                      "enable the MitM degrading the good paths");
 }
 
-Table run_steering(Ctx& ctx) {
+int run_steering(Ctx& ctx) {
   const bool attack = ctx.knobs.b("attack");
 
   egress::EgressExperimentConfig cfg;
@@ -520,7 +509,7 @@ Table run_steering(Ctx& ctx) {
         "whoever shapes the\nflows shapes the measurements, and "
         "the best honest paths lose by forfeit.\n");
   }
-  return Table{};
+  return 0;
 }
 
 INTOX_REGISTER_SCENARIO(kSteering,

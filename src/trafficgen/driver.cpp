@@ -1,5 +1,7 @@
 #include "trafficgen/driver.hpp"
 
+#include "validate/invariant.hpp"
+
 namespace intox::trafficgen {
 
 LegitFlowDriver::LegitFlowDriver(sim::Scheduler& sched, sim::Rng rng,
@@ -75,17 +77,23 @@ void LegitFlowDriver::stop() {
 }
 
 MaliciousFlowDriver::MaliciousFlowDriver(sim::Scheduler& sched, sim::Rng rng,
-                                         FlowSpec spec, PacketSink sink,
-                                         Options options)
+                                         FlowSpec spec, PacketSink sink)
     : sched_(sched), rng_(rng), spec_(std::move(spec)),
-      sink_(std::move(sink)), options_(options) {}
+      sink_(std::move(sink)) {
+  INTOX_INVARIANT(spec_.pkt_interval > 0,
+                  "malicious flow %llu has send period %lld ns",
+                  static_cast<unsigned long long>(spec_.id),
+                  static_cast<long long>(spec_.pkt_interval));
+}
 
 void MaliciousFlowDriver::start() {
+  // A non-positive period would re-fire at one instant forever.
+  if (spec_.pkt_interval <= 0) return;
   running_ = true;
   // Desynchronize across the botnet so the victim sees a steady
   // aggregate rather than pulses.
   const auto jitter = static_cast<sim::Duration>(
-      rng_.uniform() * static_cast<double>(options_.send_period));
+      rng_.uniform() * static_cast<double>(spec_.pkt_interval));
   pending_ = sched_.schedule_at(spec_.start + jitter, [this] { send_one(); });
 }
 
@@ -104,12 +112,12 @@ void MaliciousFlowDriver::send_one() {
   p.flow_tag = spec_.id;
   sink_(std::move(p));
 
-  if (++sends_of_current_seq_ >= options_.repeats_per_seq) {
+  if (++sends_of_current_seq_ >= kRepeatsPerSeq) {
     seq_ += spec_.payload_bytes;  // advance: the flow keeps looking alive
     sends_of_current_seq_ = 0;
   }
   pending_ =
-      sched_.schedule_after(options_.send_period, [this] { send_one(); });
+      sched_.schedule_after(spec_.pkt_interval, [this] { send_one(); });
 }
 
 void MaliciousFlowDriver::stop() {
@@ -125,10 +133,21 @@ void FlowPopulation::add_legit(const FlowSpec& spec) {
   legit_.emplace_back(sched_, rng_.fork(next_fork_++), spec, sink_);
 }
 
-void FlowPopulation::add_malicious(const FlowSpec& spec,
-                                   MaliciousFlowDriver::Options options) {
-  malicious_.emplace_back(sched_, rng_.fork(next_fork_++), spec, sink_,
-                          options);
+void FlowPopulation::add_malicious(const FlowSpec& spec) {
+  malicious_.emplace_back(sched_, rng_.fork(next_fork_++), spec, sink_);
+}
+
+void FlowPopulation::add_trace(const TraceConfig& config, sim::Rng rng) {
+  for (const auto& f : synthesize_trace(config, rng)) add_legit(f);
+}
+
+void FlowPopulation::add_bots(const TraceConfig& config, std::size_t count,
+                              sim::Time start, sim::Rng rng,
+                              std::uint64_t first_id) {
+  for (const auto& f :
+       synthesize_malicious_flows(config, count, start, rng, first_id)) {
+    add_malicious(f);
+  }
 }
 
 void FlowPopulation::start_all() {

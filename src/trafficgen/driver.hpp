@@ -8,10 +8,13 @@
 //    retransmitting its last segment with exponential RTO backoff — the
 //    genuine signal Blink listens for.
 //  * MaliciousFlowDriver implements the §3.1 attacker: it stays active
-//    forever and emits back-to-back duplicate-sequence segments every
-//    period, so any cell it occupies both never expires and always looks
-//    like it is retransmitting. No TCP handshake is ever performed,
-//    matching the paper's observation that none is needed.
+//    forever and emits one segment every `spec.pkt_interval`, sending
+//    each sequence number twice, so any cell it occupies both never
+//    expires and always looks like it is retransmitting. No TCP
+//    handshake is ever performed, matching the paper's observation that
+//    none is needed.
+//  * FlowPopulation owns a whole workload: `add_trace` adds a synthetic
+//    legitimate trace, `add_bots` the attacker's botnet.
 #pragma once
 
 #include <deque>
@@ -20,6 +23,7 @@
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 #include "trafficgen/flow.hpp"
+#include "trafficgen/synth.hpp"
 
 namespace intox::trafficgen {
 
@@ -61,23 +65,13 @@ class LegitFlowDriver {
 
 class MaliciousFlowDriver {
  public:
-  struct Options {
-    /// Gap between consecutive segments. Every segment is a fresh chance
-    /// to capture a freed selector cell, so the attacker spaces them
-    /// evenly (back-to-back duplicates would halve the capture rate) and
-    /// keeps the gap well below the victim's 2 s eviction timeout.
-    sim::Duration send_period = sim::millis(250);
-    /// Each sequence number is sent this many times (on consecutive
-    /// sends) before advancing; >= 2 makes every pair look retransmitted.
-    int repeats_per_seq = 2;
-  };
-
+  /// `spec.pkt_interval` is the gap between consecutive segments and
+  /// must be positive. Every segment is a fresh chance to capture a freed
+  /// selector cell, so the attacker spaces them evenly (back-to-back
+  /// duplicates would halve the capture rate) at the legitimate per-flow
+  /// rate, well below the victim's 2 s eviction timeout.
   MaliciousFlowDriver(sim::Scheduler& sched, sim::Rng rng, FlowSpec spec,
-                      PacketSink sink, Options options);
-  MaliciousFlowDriver(sim::Scheduler& sched, sim::Rng rng, FlowSpec spec,
-                      PacketSink sink)
-      : MaliciousFlowDriver(sched, rng, std::move(spec), std::move(sink),
-                            Options{}) {}
+                      PacketSink sink);
 
   void start();
   void stop();
@@ -87,11 +81,14 @@ class MaliciousFlowDriver {
  private:
   void send_one();
 
+  /// Each sequence number goes out on this many consecutive sends before
+  /// advancing; two makes every pair look retransmitted.
+  static constexpr int kRepeatsPerSeq = 2;
+
   sim::Scheduler& sched_;
   sim::Rng rng_;
   FlowSpec spec_;
   PacketSink sink_;
-  Options options_;
   std::uint32_t seq_ = 5000;
   int sends_of_current_seq_ = 0;
   bool running_ = false;
@@ -105,11 +102,16 @@ class FlowPopulation {
   FlowPopulation(sim::Scheduler& sched, sim::Rng rng, PacketSink sink);
 
   void add_legit(const FlowSpec& spec);
-  void add_malicious(const FlowSpec& spec,
-                     MaliciousFlowDriver::Options options);
-  void add_malicious(const FlowSpec& spec) {
-    add_malicious(spec, MaliciousFlowDriver::Options{});
-  }
+  void add_malicious(const FlowSpec& spec);
+  /// Adds every flow of `synthesize_trace(config, rng)` as a legitimate
+  /// driver.
+  void add_trace(const TraceConfig& config, sim::Rng rng);
+  /// Adds every flow of `synthesize_malicious_flows(config, count, start,
+  /// rng, first_id)` as a malicious driver. Drivers fork the population's
+  /// Rng by insertion index, so call `add_trace` first: legitimate flows
+  /// then keep indices 0..L-1 and bots L..L+M-1.
+  void add_bots(const TraceConfig& config, std::size_t count,
+                sim::Time start, sim::Rng rng, std::uint64_t first_id);
   void start_all();
   /// Puts every currently-unfinished legitimate flow into failure mode.
   void fail_all_legit();

@@ -28,21 +28,8 @@ TEST(FailureInjection, BlinkAttackThenRealFailureBothHandled) {
     node.process(p, meta, sched.now());
   };
   trafficgen::FlowPopulation pop{sched, rng.fork("d"), sink};
-  {
-    sim::Rng trng = rng.fork("t");
-    for (const auto& f : trafficgen::synthesize_trace(trace, trng)) {
-      pop.add_legit(f);
-    }
-  }
-  {
-    sim::Rng brng = rng.fork("b");
-    trafficgen::MaliciousFlowDriver::Options opts;
-    opts.send_period = trace.pkt_interval;
-    for (const auto& f : trafficgen::synthesize_malicious_flows(
-             trace, 105, 0, brng, blink::kMaliciousTagBase)) {
-      pop.add_malicious(f, opts);
-    }
-  }
+  pop.add_trace(trace, rng.fork("t"));
+  pop.add_bots(trace, 105, 0, rng.fork("b"), blink::kMaliciousTagBase);
   pop.start_all();
   // Control plane "corrects" the bogus reroute whenever it appears.
   node.set_on_reroute([&](const blink::RerouteEvent& e) {
@@ -78,21 +65,8 @@ TEST(FailureInjection, GuardedBlinkSurvivesAttackAndCatchesRealFailure) {
     node.process(p, meta, sched.now());
   };
   trafficgen::FlowPopulation pop{sched, rng.fork("d"), sink};
-  {
-    sim::Rng trng = rng.fork("t");
-    for (const auto& f : trafficgen::synthesize_trace(trace, trng)) {
-      pop.add_legit(f);
-    }
-  }
-  {
-    sim::Rng brng = rng.fork("b");
-    trafficgen::MaliciousFlowDriver::Options opts;
-    opts.send_period = trace.pkt_interval;
-    for (const auto& f : trafficgen::synthesize_malicious_flows(
-             trace, 105, 0, brng, blink::kMaliciousTagBase)) {
-      pop.add_malicious(f, opts);
-    }
-  }
+  pop.add_trace(trace, rng.fork("t"));
+  pop.add_bots(trace, 105, 0, rng.fork("b"), blink::kMaliciousTagBase);
   pop.start_all();
   sched.run_until(sim::seconds(220));
   const auto vetoes_before_failure = node.vetoed();

@@ -7,12 +7,11 @@
 
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <limits>
-#include <sstream>
 #include <string>
 
 #include "obs/json.hpp"
+#include "obs/json_parse.hpp"
 #include "obs/metrics.hpp"
 #include "validate/invariant.hpp"
 
@@ -133,11 +132,8 @@ TEST(BenchSession, WriteRoundTripsThroughFile) {
     sweep.wall_seconds = 0.5;
     session.record_sweep(sweep);
   }  // dtor writes
-  std::ifstream in{path};
-  ASSERT_TRUE(in.good());
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  const std::string doc = ss.str();
+  std::string doc;
+  ASSERT_TRUE(read_file(path, &doc));
   EXPECT_NE(doc.find("\"family\":\"TEST-WRITE\""), std::string::npos);
   EXPECT_NE(doc.find("\"sweep\":\"s\""), std::string::npos);
   std::remove(path.c_str());

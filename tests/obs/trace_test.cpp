@@ -7,21 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/json_parse.hpp"
+
 namespace intox::obs {
 namespace {
-
-std::string slurp(const std::string& path) {
-  std::ifstream in{path};
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
 
 std::size_t count_occurrences(const std::string& hay,
                               const std::string& needle) {
@@ -66,7 +59,8 @@ TEST(Trace, SpansFlushToValidChromeTraceJson) {
   worker.join();
 
   ASSERT_TRUE(trace_flush());
-  const std::string doc = slurp(path);
+  std::string doc;
+  ASSERT_TRUE(read_file(path, &doc));
 
   EXPECT_NE(doc.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(doc.find("\"displayTimeUnit\""), std::string::npos);
@@ -87,7 +81,9 @@ TEST(Trace, SpansFlushToValidChromeTraceJson) {
   // Flush is cumulative and idempotent: a second flush rewrites the same
   // events rather than emitting an empty or truncated file.
   ASSERT_TRUE(trace_flush());
-  EXPECT_EQ(slurp(path), doc);
+  std::string reflushed;
+  ASSERT_TRUE(read_file(path, &reflushed));
+  EXPECT_EQ(reflushed, doc);
 
   set_trace_path("");
   EXPECT_FALSE(trace_enabled());
@@ -99,7 +95,9 @@ TEST(Trace, ReenableAccumulatesNewEvents) {
   set_trace_path(path);
   { TraceSpan span{"test.second_session", "test"}; }
   ASSERT_TRUE(trace_flush());
-  EXPECT_NE(slurp(path).find("test.second_session"), std::string::npos);
+  std::string doc;
+  ASSERT_TRUE(read_file(path, &doc));
+  EXPECT_NE(doc.find("test.second_session"), std::string::npos);
   set_trace_path("");
   std::remove(path.c_str());
 }

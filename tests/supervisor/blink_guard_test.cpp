@@ -93,22 +93,9 @@ TEST(BlinkRtoGuard, EndToEndAttackSuppressed) {
     node.process(p, meta, sched.now());
   };
   trafficgen::FlowPopulation pop{sched, rng.fork("drivers"), sink};
-  {
-    sim::Rng trng = rng.fork("trace");
-    for (const auto& f : trafficgen::synthesize_trace(cfg.trace, trng)) {
-      pop.add_legit(f);
-    }
-  }
-  {
-    sim::Rng brng = rng.fork("malicious");
-    trafficgen::MaliciousFlowDriver::Options opts;
-    opts.send_period = cfg.trace.pkt_interval;
-    for (const auto& f : trafficgen::synthesize_malicious_flows(
-             cfg.trace, cfg.malicious_flows, 0, brng,
-             blink::kMaliciousTagBase)) {
-      pop.add_malicious(f, opts);
-    }
-  }
+  pop.add_trace(cfg.trace, rng.fork("trace"));
+  pop.add_bots(cfg.trace, cfg.malicious_flows, 0, rng.fork("malicious"),
+               blink::kMaliciousTagBase);
   pop.start_all();
   sched.run_until(cfg.trace.horizon);
   pop.stop_all();
@@ -136,10 +123,7 @@ TEST(BlinkRtoGuard, EndToEndGenuineFailureStillReroutes) {
     node.process(p, meta, sched.now());
   };
   trafficgen::FlowPopulation pop{sched, rng.fork("drivers"), sink};
-  sim::Rng trng = rng.fork("trace");
-  for (const auto& f : trafficgen::synthesize_trace(tcfg, trng)) {
-    pop.add_legit(f);
-  }
+  pop.add_trace(tcfg, rng.fork("trace"));
   pop.start_all();
   sched.schedule_at(sim::seconds(60), [&] { pop.fail_all_legit(); });
   sched.run_until(tcfg.horizon);

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <string>
 
+#include "obs/json_parse.hpp"
 #include "obs/report.hpp"
 
 namespace intox::sweep {
@@ -122,12 +123,9 @@ TEST(Merge, MalformedRecordIsAnError) {
 TEST(Merge, CommitReportIsAtomicRename) {
   const std::string path = ::testing::TempDir() + "merge_commit.json";
   ASSERT_EQ(commit_report(path, "{\"a\":1}\n"), "");
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  char buf[32] = {};
-  std::fread(buf, 1, sizeof buf - 1, f);
-  std::fclose(f);
-  EXPECT_STREQ(buf, "{\"a\":1}\n");
+  std::string doc;
+  ASSERT_TRUE(obs::read_file(path, &doc));
+  EXPECT_EQ(doc, "{\"a\":1}\n");
   std::remove(path.c_str());
 }
 
@@ -155,13 +153,8 @@ TEST(Merge, ExitScannerMatchesThePointRecordWriter) {
   record.exit_code = 4;
   record.stdout_text = "tricky \"exit\": 99 text\n";
   ASSERT_TRUE(obs::write_point_record(path, record));
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
   std::string doc;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) doc.append(buf, n);
-  std::fclose(f);
+  ASSERT_TRUE(obs::read_file(path, &doc));
   EXPECT_EQ(record_exit_code(doc), 4);
   std::remove(path.c_str());
 }

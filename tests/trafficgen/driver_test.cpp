@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <tuple>
+
+#include "validate/invariant.hpp"
 
 namespace intox::trafficgen {
 namespace {
@@ -100,7 +104,7 @@ TEST(MaliciousFlowDriver, EmitsDuplicatePairsForever) {
   f.tuple = {net::Ipv4Addr{6, 6, 6, 6}, net::Ipv4Addr{10, 0, 0, 2}, 6666, 80,
              net::IpProto::kTcp};
   f.start = 0;
-  f.pkt_interval = sim::millis(100);
+  f.pkt_interval = sim::millis(250);
   MaliciousFlowDriver d{s, sim::Rng{5}, f, [&](net::Packet p) {
                           ++seq_counts[p.tcp()->seq];
                           times.push_back(s.now());
@@ -130,6 +134,7 @@ TEST(MaliciousFlowDriver, StopHalts) {
   FlowSpec f;
   f.tuple = {net::Ipv4Addr{6, 6, 6, 6}, net::Ipv4Addr{10, 0, 0, 2}, 1, 2,
              net::IpProto::kTcp};
+  f.pkt_interval = sim::millis(250);
   MaliciousFlowDriver d{s, sim::Rng{6}, f, [&](net::Packet) { ++count; }};
   d.start();
   s.run_until(sim::seconds(2));
@@ -137,6 +142,31 @@ TEST(MaliciousFlowDriver, StopHalts) {
   d.stop();
   s.run_until(sim::seconds(10));
   EXPECT_EQ(count, at_stop);
+}
+
+TEST(MaliciousFlowDriver, ZeroPeriodIsRejected) {
+  // A zero period would re-fire at one instant forever.
+  sim::Scheduler s;
+  int count = 0;
+  FlowSpec f;
+  f.tuple = {net::Ipv4Addr{6, 6, 6, 6}, net::Ipv4Addr{10, 0, 0, 2}, 1, 2,
+             net::IpProto::kTcp};
+  {
+    validate::ScopedInvariantMode mode{validate::InvariantMode::kThrow};
+    EXPECT_THROW((MaliciousFlowDriver{s, sim::Rng{6}, f,
+                                      [&](net::Packet) { ++count; }}),
+                 validate::InvariantError);
+  }
+  // Count mode continues on the degraded path: start() schedules nothing.
+  validate::ScopedInvariantMode mode{validate::InvariantMode::kCount};
+  validate::reset_invariant_violations();
+  MaliciousFlowDriver d{s, sim::Rng{6}, f, [&](net::Packet) { ++count; }};
+  EXPECT_EQ(validate::invariant_violations(), 1u);
+  validate::reset_invariant_violations();
+  d.start();
+  s.run_until(sim::seconds(1));
+  EXPECT_EQ(count, 0);
+  EXPECT_EQ(s.events_processed(), 0u);
 }
 
 TEST(FlowPopulation, RunsMixedPopulation) {
@@ -159,6 +189,7 @@ TEST(FlowPopulation, RunsMixedPopulation) {
   bad.id = 1000;
   bad.tuple = {net::Ipv4Addr{6, 6, 6, 6}, net::Ipv4Addr{10, 0, 0, 9}, 7, 8,
                net::IpProto::kTcp};
+  bad.pkt_interval = sim::millis(250);
   pop.add_malicious(bad);
   EXPECT_EQ(pop.legit_count(), 10u);
   EXPECT_EQ(pop.malicious_count(), 1u);
@@ -168,6 +199,55 @@ TEST(FlowPopulation, RunsMixedPopulation) {
   pop.stop_all();
   EXPECT_GT(legit_pkts, 100u);
   EXPECT_GT(bad_pkts, 10u);
+}
+
+TEST(FlowPopulation, TraceAndBotsMatchHandBuiltPopulation) {
+  TraceConfig cfg;
+  cfg.active_flows = 50;
+  cfg.horizon = sim::seconds(20);
+  const sim::Rng root{8};
+  using Sent = std::tuple<sim::Time, std::uint64_t, std::uint32_t>;
+
+  sim::Scheduler s1;
+  std::vector<Sent> via_calls;
+  FlowPopulation calls{s1, root.fork("drivers"), [&](net::Packet p) {
+                         via_calls.emplace_back(s1.now(), p.flow_tag,
+                                                p.tcp()->seq);
+                       }};
+  calls.add_trace(cfg, root.fork("trace"));
+  calls.add_bots(cfg, 5, 0, root.fork("bots"), 1u << 20);
+
+  sim::Scheduler s2;
+  std::vector<Sent> by_hand;
+  FlowPopulation hand{s2, root.fork("drivers"), [&](net::Packet p) {
+                        by_hand.emplace_back(s2.now(), p.flow_tag,
+                                             p.tcp()->seq);
+                      }};
+  sim::Rng trace_rng = root.fork("trace");
+  for (const auto& f : synthesize_trace(cfg, trace_rng)) hand.add_legit(f);
+  sim::Rng bot_rng = root.fork("bots");
+  for (const auto& f :
+       synthesize_malicious_flows(cfg, 5, 0, bot_rng, 1u << 20)) {
+    hand.add_malicious(f);
+  }
+
+  EXPECT_EQ(calls.legit_count(), hand.legit_count());
+  EXPECT_GT(calls.legit_count(), 50u);
+  EXPECT_EQ(calls.malicious_count(), 5u);
+  EXPECT_EQ(hand.malicious_count(), 5u);
+
+  calls.start_all();
+  hand.start_all();
+  s1.run_until(sim::seconds(10));
+  s2.run_until(sim::seconds(10));
+  calls.stop_all();
+  hand.stop_all();
+  ASSERT_GT(via_calls.size(), 1000u);
+  EXPECT_TRUE(std::any_of(via_calls.begin(), via_calls.end(),
+                          [](const Sent& p) {
+                            return std::get<1>(p) >= (1u << 20);
+                          }));
+  EXPECT_EQ(via_calls, by_hand);
 }
 
 }  // namespace

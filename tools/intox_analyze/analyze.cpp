@@ -8,6 +8,7 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <tuple>
 #include <utility>
 
@@ -128,6 +129,38 @@ Scan scan(const Options& opts) {
 }  // namespace
 
 Index build_index(const Options& opts) { return scan(opts).index; }
+
+std::vector<ExternalCall> external_calls(const CallGraph& graph, int fn) {
+  std::vector<ExternalCall> out;
+  for (const CallSite& c : graph.index().functions[fn].calls) {
+    // A resolved call is judged through its callee, and a method on a
+    // value of unknown type cannot be named.
+    if (!graph.resolve_call(fn, c).empty() || !c.receiver.empty()) continue;
+    std::string_view name = c.name;
+    if (name.starts_with("::")) name.remove_prefix(2);
+    if (name.starts_with("std::")) name.remove_prefix(5);
+    out.push_back({&c, std::string(name)});
+  }
+  return out;
+}
+
+std::vector<int> explain_reachable(const CallGraph& graph,
+                                   const std::set<int>& roots,
+                                   const std::vector<std::string>& root_names,
+                                   const char* check, std::ostream* explain) {
+  std::vector<int> reach = graph.reachable({roots.begin(), roots.end()});
+  if (explain != nullptr) {
+    *explain << check << " roots (" << root_names.size() << "):";
+    for (const std::string& r : root_names) *explain << " " << r;
+    *explain << "\n" << check << " reachable (" << reach.size() << "):\n";
+    for (int f : reach) {
+      const FunctionDef& fn = graph.index().functions[f];
+      *explain << "  " << fn.qname << "  (" << fn.file << ":" << fn.line
+               << ")\n";
+    }
+  }
+  return reach;
+}
 
 RunResult run_analyze(const Options& opts, std::ostream& explain_out) {
   Scan s = scan(opts);

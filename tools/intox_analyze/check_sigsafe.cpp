@@ -46,13 +46,6 @@ bool danger_is_signal_unsafe(const std::string& what) {
          }) != kUnsafe.end();
 }
 
-std::string strip_qualifiers(const std::string& chain) {
-  std::string s = chain;
-  if (s.rfind("::", 0) == 0) s = s.substr(2);
-  if (s.rfind("std::", 0) == 0) s = s.substr(5);
-  return s;
-}
-
 }  // namespace
 
 void check_sigsafe(const CallGraph& graph, std::vector<Finding>& out,
@@ -73,31 +66,15 @@ void check_sigsafe(const CallGraph& graph, std::vector<Finding>& out,
     for (int f : fns) root_set.insert(f);
   }
 
-  const std::vector<int> reach =
-      graph.reachable({root_set.begin(), root_set.end()});
-
-  if (explain != nullptr) {
-    *explain << "sigsafe roots:";
-    for (const std::string& r : root_names) *explain << " " << r;
-    *explain << "\nsigsafe reachable (" << reach.size() << "):\n";
-    for (int f : reach) {
-      const FunctionDef& fn = index.functions[f];
-      *explain << "  " << fn.qname << "  (" << fn.file << ":" << fn.line
-               << ")\n";
-    }
-  }
-
-  for (int f : reach) {
+  for (int f : explain_reachable(graph, root_set, root_names, "sigsafe",
+                                 explain)) {
     const FunctionDef& fn = index.functions[f];
-    for (const CallSite& c : fn.calls) {
-      if (!graph.resolve_call(f, c).empty()) continue;  // proven by recursion
-      if (!c.receiver.empty()) continue;  // unresolvable method on a value
-      const std::string name = strip_qualifiers(c.name);
-      if (sigsafe_allowlist().count(name)) continue;
-      out.push_back({fn.file, c.line, "sigsafe",
+    for (const ExternalCall& c : external_calls(graph, f)) {
+      if (sigsafe_allowlist().count(c.name)) continue;
+      out.push_back({fn.file, c.site->line, "sigsafe",
                      "'" + fn.qname +
                          "' is on the fatal-signal path but calls '" +
-                         c.name + "', which is not async-signal-safe"});
+                         c.site->name + "', which is not async-signal-safe"});
     }
     for (const DangerEvent& d : fn.dangers) {
       if (!danger_is_signal_unsafe(d.what)) continue;

@@ -3,16 +3,6 @@
 #include "checks.hpp"
 
 namespace intox::analyze {
-namespace {
-
-std::string strip_qualifiers(const std::string& chain) {
-  std::string s = chain;
-  if (s.rfind("::", 0) == 0) s = s.substr(2);
-  if (s.rfind("std::", 0) == 0) s = s.substr(5);
-  return s;
-}
-
-}  // namespace
 
 void check_taint(const CallGraph& graph, std::vector<Finding>& out,
                  std::ostream* explain) {
@@ -25,31 +15,16 @@ void check_taint(const CallGraph& graph, std::vector<Finding>& out,
     root_names.push_back(reg.run_fn);
   }
 
-  const std::vector<int> reach =
-      graph.reachable({root_set.begin(), root_set.end()});
-
-  if (explain != nullptr) {
-    *explain << "taint roots (" << root_names.size() << "):";
-    for (const std::string& r : root_names) *explain << " " << r;
-    *explain << "\ntaint reachable (" << reach.size() << "):\n";
-    for (int f : reach) {
-      const FunctionDef& fn = index.functions[f];
-      *explain << "  " << fn.qname << "  (" << fn.file << ":" << fn.line
-               << ")\n";
-    }
-  }
-
-  for (int f : reach) {
+  for (int f : explain_reachable(graph, root_set, root_names, "taint",
+                                 explain)) {
     const FunctionDef& fn = index.functions[f];
-    for (const CallSite& c : fn.calls) {
-      if (!graph.resolve_call(f, c).empty()) continue;
-      if (!c.receiver.empty()) continue;
-      const Banned banned = banned_source(strip_qualifiers(c.name));
+    for (const ExternalCall& c : external_calls(graph, f)) {
+      const Banned banned = banned_source(c.name);
       if (banned != Banned::kFunction && banned != Banned::kCallOnly) continue;
-      out.push_back({fn.file, c.line, "taint",
+      out.push_back({fn.file, c.site->line, "taint",
                      "'" + fn.qname +
                          "' is reachable from a scenario run function but "
-                         "calls '" + c.name +
+                         "calls '" + c.site->name +
                          "' (nondeterministic source; use sim::Rng / the "
                          "simulated clock)"});
     }

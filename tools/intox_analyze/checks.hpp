@@ -28,6 +28,7 @@
 #pragma once
 
 #include <ostream>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -67,6 +68,26 @@ const std::vector<std::string>& check_names();
 /// names (`sched.time()`, `Duration clock`).
 enum class Banned { kNone, kType, kFunction, kCallOnly };
 Banned banned_source(std::string_view name);
+
+/// One call of a function that no indexed function answers and that is
+/// not a method on a value: a call out of the program. `name` is the
+/// call's chain without a leading `::` or `std::`.
+struct ExternalCall {
+  const CallSite* site;
+  std::string name;
+};
+
+/// The external calls of `fn` (an index into the graph's functions).
+/// sigsafe and taint judge these by name.
+std::vector<ExternalCall> external_calls(const CallGraph& graph, int fn);
+
+/// Every function reachable from `roots` (functions named by
+/// `root_names`). When `explain` is non-null, also prints the roots and
+/// each reachable function with its location under `check`'s name.
+std::vector<int> explain_reachable(const CallGraph& graph,
+                                   const std::set<int>& roots,
+                                   const std::vector<std::string>& root_names,
+                                   const char* check, std::ostream* explain);
 
 /// determinism, invariant and header over one file's tokens.
 void check_file(const std::string& rel_path, const FileClass& fc,
