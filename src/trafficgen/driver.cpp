@@ -1,5 +1,6 @@
 #include "trafficgen/driver.hpp"
 
+#include "obs/metrics.hpp"
 #include "validate/invariant.hpp"
 
 namespace intox::trafficgen {
@@ -9,7 +10,15 @@ LegitFlowDriver::LegitFlowDriver(sim::Scheduler& sched, sim::Rng rng,
     : sched_(sched),
       rng_(rng),
       spec_(std::move(spec)),
-      sink_(std::move(sink)) {}
+      sink_(std::move(sink)) {
+  INTOX_INVARIANT(spec_.pkt_interval > 0,
+                  "legitimate flow %llu has packet interval %lld ns",
+                  static_cast<unsigned long long>(spec_.id),
+                  static_cast<long long>(spec_.pkt_interval));
+  // A non-positive interval would re-fire at one instant forever: the
+  // degraded path treats the flow as already over.
+  finished_ = spec_.pkt_interval <= 0;
+}
 
 net::Packet LegitFlowDriver::make_packet(std::uint32_t seq, bool fin) const {
   net::Packet p;
@@ -28,6 +37,7 @@ net::Packet LegitFlowDriver::make_packet(std::uint32_t seq, bool fin) const {
 }
 
 void LegitFlowDriver::start() {
+  if (finished_) return;
   pending_ = sched_.schedule_at(spec_.start, [this] { send_next(); });
 }
 
@@ -37,6 +47,7 @@ void LegitFlowDriver::send_next() {
   if (sched_.now() >= end) {
     sink_(make_packet(next_seq_, /*fin=*/true));
     finished_ = true;
+    if (owner_ != nullptr) owner_->release(flow_);
     return;
   }
   last_sent_seq_ = next_seq_;
@@ -129,8 +140,21 @@ FlowPopulation::FlowPopulation(sim::Scheduler& sched, sim::Rng rng,
                                PacketSink sink)
     : sched_(sched), rng_(rng), sink_(std::move(sink)) {}
 
+FlowPopulation::~FlowPopulation() {
+  static obs::Gauge& live_hwm =
+      obs::Registry::global().gauge("trafficgen.population.live_hwm");
+  if (!slots_.empty()) {
+    live_hwm.update_max(static_cast<double>(live_high_water()));
+  }
+}
+
 void FlowPopulation::add_legit(const FlowSpec& spec) {
-  legit_.emplace_back(sched_, rng_.fork(next_fork_++), spec, sink_);
+  INTOX_INVARIANT(spec.pkt_interval > 0,
+                  "legitimate flow %llu has packet interval %lld ns",
+                  static_cast<unsigned long long>(spec.id),
+                  static_cast<long long>(spec.pkt_interval));
+  legit_.push_back({spec, next_fork_++, {},
+                    spec.pkt_interval > 0 ? kPending : kDone});
 }
 
 void FlowPopulation::add_malicious(const FlowSpec& spec) {
@@ -138,7 +162,9 @@ void FlowPopulation::add_malicious(const FlowSpec& spec) {
 }
 
 void FlowPopulation::add_trace(const TraceConfig& config, sim::Rng rng) {
-  for (const auto& f : synthesize_trace(config, rng)) add_legit(f);
+  const std::vector<FlowSpec> trace = synthesize_trace(config, rng);
+  legit_.reserve(legit_.size() + trace.size());
+  for (const auto& f : trace) add_legit(f);
 }
 
 void FlowPopulation::add_bots(const TraceConfig& config, std::size_t count,
@@ -151,16 +177,64 @@ void FlowPopulation::add_bots(const TraceConfig& config, std::size_t count,
 }
 
 void FlowPopulation::start_all() {
-  for (auto& d : legit_) d.start();
+  for (std::size_t i = 0; i < legit_.size(); ++i) {
+    LegitFlow& f = legit_[i];
+    if (f.slot != kPending) continue;
+    f.start = sched_.schedule_at(f.spec.start,
+                                 [this, i] { build(i).send_next(); });
+  }
   for (auto& d : malicious_) d.start();
 }
 
+LegitFlowDriver& FlowPopulation::build(std::size_t flow) {
+  LegitFlow& f = legit_[flow];
+  if (free_slots_.empty()) {
+    f.slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    f.slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  // Forking here draws the same stream as forking at add time: fork(i)
+  // depends only on the seed and i.
+  LegitFlowDriver& d =
+      slots_[f.slot].emplace(sched_, rng_.fork(f.fork), f.spec, sink_);
+  d.owner_ = this;
+  d.flow_ = flow;
+  return d;
+}
+
+void FlowPopulation::release(std::size_t flow) {
+  free_slots_.push_back(legit_[flow].slot);
+  legit_[flow].slot = kDone;
+}
+
 void FlowPopulation::fail_all_legit() {
-  for (auto& d : legit_) d.enter_failure_mode();
+  // A flow that has not started yet fails too: its driver is built now,
+  // with no segment sent, and retransmits seq 1000 at once and then on
+  // every RTO. Real senders that have not opened a connection send
+  // nothing; the quirk is kept because fixing it moves the
+  // defense.guards golden (~2.9 k such flows per failure-path run).
+  for (std::size_t i = 0; i < legit_.size(); ++i) {
+    LegitFlow& f = legit_[i];
+    if (f.slot == kDone) continue;
+    if (f.slot == kPending) {
+      sched_.cancel(f.start);
+      build(i);
+    }
+    slots_[f.slot]->enter_failure_mode();
+  }
 }
 
 void FlowPopulation::stop_all() {
-  for (auto& d : legit_) d.stop();
+  for (LegitFlow& f : legit_) {
+    if (f.slot == kPending) {
+      sched_.cancel(f.start);
+      f.slot = kDone;
+    } else if (f.slot != kDone) {
+      slots_[f.slot]->stop();
+    }
+  }
   for (auto& d : malicious_) d.stop();
 }
 

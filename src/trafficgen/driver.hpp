@@ -14,11 +14,18 @@
 //    handshake is ever performed, matching the paper's observation that
 //    none is needed.
 //  * FlowPopulation owns a whole workload: `add_trace` adds a synthetic
-//    legitimate trace, `add_bots` the attacker's botnet.
+//    legitimate trace, `add_bots` the attacker's botnet. It keeps every
+//    legitimate flow's FlowSpec, but builds that flow's driver (a few KB,
+//    mostly RNG state) only when the flow starts, in a slot it reuses
+//    once the flow has sent its FIN. Live driver memory therefore follows
+//    the number of concurrently active flows, not the trace length.
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <functional>
+#include <optional>
+#include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
@@ -29,8 +36,12 @@ namespace intox::trafficgen {
 
 using PacketSink = std::function<void(net::Packet)>;
 
+class FlowPopulation;
+
 class LegitFlowDriver {
  public:
+  /// `spec.pkt_interval` is the mean gap between segments and must be
+  /// positive; a driver with a non-positive interval sends nothing.
   LegitFlowDriver(sim::Scheduler& sched, sim::Rng rng, FlowSpec spec,
                   PacketSink sink);
 
@@ -47,6 +58,10 @@ class LegitFlowDriver {
   [[nodiscard]] const FlowSpec& spec() const { return spec_; }
 
  private:
+  // FlowPopulation builds drivers at their flow's start event, sends the
+  // first segment itself and is told of the FIN.
+  friend class FlowPopulation;
+
   void send_next();
   void send_retransmission();
   net::Packet make_packet(std::uint32_t seq, bool fin = false) const;
@@ -61,6 +76,10 @@ class LegitFlowDriver {
   bool failure_mode_ = false;
   bool finished_ = false;
   sim::Scheduler::EventId pending_;
+  // Set for drivers a FlowPopulation owns: the FIN hands flow `flow_`'s
+  // slot back to `owner_`.
+  FlowPopulation* owner_ = nullptr;
+  std::size_t flow_ = 0;
 };
 
 class MaliciousFlowDriver {
@@ -100,7 +119,16 @@ class MaliciousFlowDriver {
 class FlowPopulation {
  public:
   FlowPopulation(sim::Scheduler& sched, sim::Rng rng, PacketSink sink);
+  /// Publishes `live_high_water()` as the gauge
+  /// trafficgen.population.live_hwm (retirement-time accounting, as the
+  /// scheduler does for its totals).
+  ~FlowPopulation();
+  // Scheduled closures capture `this`.
+  FlowPopulation(const FlowPopulation&) = delete;
+  FlowPopulation& operator=(const FlowPopulation&) = delete;
 
+  /// `spec.pkt_interval` must be positive; a flow that breaks this is
+  /// kept (indices stay put) but never scheduled.
   void add_legit(const FlowSpec& spec);
   void add_malicious(const FlowSpec& spec);
   /// Adds every flow of `synthesize_trace(config, rng)` as a legitimate
@@ -112,8 +140,12 @@ class FlowPopulation {
   /// then keep indices 0..L-1 and bots L..L+M-1.
   void add_bots(const TraceConfig& config, std::size_t count,
                 sim::Time start, sim::Rng rng, std::uint64_t first_id);
+  /// Schedules one start event per legitimate flow at its spec.start, in
+  /// insertion order, then starts the bots. A flow's start event builds
+  /// its driver and sends the first segment.
   void start_all();
-  /// Puts every currently-unfinished legitimate flow into failure mode.
+  /// Puts every unfinished legitimate flow into failure mode, in
+  /// insertion order. Flows that have not started yet are built now.
   void fail_all_legit();
   void stop_all();
 
@@ -121,17 +153,39 @@ class FlowPopulation {
   [[nodiscard]] std::size_t malicious_count() const {
     return malicious_.size();
   }
+  /// Most legitimate drivers that existed at once.
+  [[nodiscard]] std::size_t live_high_water() const { return slots_.size(); }
 
  private:
+  // `LegitFlow::slot` for a flow with no driver.
+  static constexpr std::uint32_t kPending = UINT32_MAX;  // not started
+  static constexpr std::uint32_t kDone = UINT32_MAX - 1;  // never again
+
+  struct LegitFlow {
+    FlowSpec spec;
+    std::uint64_t fork = 0;          // index of the driver's rng_ substream
+    sim::Scheduler::EventId start;   // start event, while kPending
+    std::uint32_t slot = kPending;   // driver slot, kPending or kDone
+  };
+
+  // A driver's FIN calls release().
+  friend class LegitFlowDriver;
+
+  LegitFlowDriver& build(std::size_t flow);
+  void release(std::size_t flow);
+
   sim::Scheduler& sched_;
   sim::Rng rng_;
   PacketSink sink_;
   std::uint64_t next_fork_ = 0;
-  // By-value driver pools: deque keeps element addresses stable (the
-  // drivers' scheduled closures capture `this`) while storing them in
-  // contiguous chunks instead of one heap allocation per flow, so the
-  // start_all/fail_all sweeps walk dense memory.
-  std::deque<LegitFlowDriver> legit_;
+  std::vector<LegitFlow> legit_;
+  // Driver slots. A deque keeps their addresses stable (the drivers'
+  // scheduled closures capture `this`); a FIN puts the slot on
+  // `free_slots_`, and only a later build replaces its driver, never the
+  // finishing driver's own callback.
+  std::deque<std::optional<LegitFlowDriver>> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  // Bots are few and live for the whole run, so they are built up front.
   std::deque<MaliciousFlowDriver> malicious_;
 };
 

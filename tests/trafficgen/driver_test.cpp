@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <map>
 #include <tuple>
 
+#include "obs/metrics.hpp"
 #include "validate/invariant.hpp"
 
 namespace intox::trafficgen {
@@ -93,6 +95,43 @@ TEST(LegitFlowDriver, ExitFailureModeResumesFreshSeqs) {
   s.run_until(sim::seconds(8));
   ASSERT_GT(seqs.size(), resumed_at + 2);
   EXPECT_GT(seqs.back(), seqs[resumed_at]);
+}
+
+TEST(LegitFlowDriver, ZeroIntervalIsRejected) {
+  // A zero interval would re-fire at one instant forever.
+  sim::Scheduler s;
+  int count = 0;
+  auto spec = legit_spec();
+  spec.pkt_interval = 0;
+  {
+    validate::ScopedInvariantMode mode{validate::InvariantMode::kThrow};
+    EXPECT_THROW((LegitFlowDriver{s, sim::Rng{6}, spec,
+                                  [&](net::Packet) { ++count; }}),
+                 validate::InvariantError);
+    FlowPopulation pop{s, sim::Rng{6}, [&](net::Packet) { ++count; }};
+    EXPECT_THROW(pop.add_legit(spec), validate::InvariantError);
+  }
+  // Count mode continues on the degraded path: nothing is scheduled.
+  validate::ScopedInvariantMode mode{validate::InvariantMode::kCount};
+  validate::reset_invariant_violations();
+  LegitFlowDriver d{s, sim::Rng{6}, spec, [&](net::Packet) { ++count; }};
+  EXPECT_EQ(validate::invariant_violations(), 1u);
+  d.start();
+  EXPECT_EQ(s.pending(), 0u);
+
+  validate::reset_invariant_violations();
+  FlowPopulation pop{s, sim::Rng{6}, [&](net::Packet) { ++count; }};
+  pop.add_legit(spec);
+  EXPECT_EQ(validate::invariant_violations(), 1u);
+  validate::reset_invariant_violations();
+  EXPECT_EQ(pop.legit_count(), 1u);
+  pop.start_all();
+  pop.fail_all_legit();
+  EXPECT_EQ(s.pending(), 0u);
+  s.run_until(sim::seconds(10));
+  EXPECT_EQ(count, 0);
+  EXPECT_EQ(s.events_processed(), 0u);
+  EXPECT_EQ(pop.live_high_water(), 0u);
 }
 
 TEST(MaliciousFlowDriver, EmitsDuplicatePairsForever) {
@@ -248,6 +287,107 @@ TEST(FlowPopulation, TraceAndBotsMatchHandBuiltPopulation) {
                             return std::get<1>(p) >= (1u << 20);
                           }));
   EXPECT_EQ(via_calls, by_hand);
+}
+
+using SentPacket = std::tuple<sim::Time, std::uint64_t, std::uint32_t, bool>;
+
+SentPacket sent_packet(const sim::Scheduler& s, const net::Packet& p) {
+  return {s.now(), p.flow_tag, p.tcp()->seq, p.tcp()->fin};
+}
+
+// Runs `trace` through a FlowPopulation and through the up-front driver
+// list it replaced (every driver built with rng.fork(i) and started in
+// index order), optionally failing every legitimate flow at `fail_at`,
+// and expects the same packet stream from both.
+void expect_lazy_matches_eager(const std::vector<FlowSpec>& trace,
+                               sim::Time fail_at, sim::Time end) {
+  const sim::Rng rng{11};
+
+  sim::Scheduler lazy_sched;
+  std::vector<SentPacket> lazy;
+  FlowPopulation pop{lazy_sched, rng, [&](net::Packet p) {
+                       lazy.push_back(sent_packet(lazy_sched, p));
+                     }};
+  for (const auto& f : trace) pop.add_legit(f);
+  pop.start_all();
+
+  sim::Scheduler eager_sched;
+  std::vector<SentPacket> eager;
+  std::deque<LegitFlowDriver> drivers;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    drivers.emplace_back(eager_sched, rng.fork(i), trace[i],
+                         [&](net::Packet p) {
+                           eager.push_back(sent_packet(eager_sched, p));
+                         });
+  }
+  for (auto& d : drivers) d.start();
+
+  if (fail_at < end) {
+    lazy_sched.run_until(fail_at);
+    eager_sched.run_until(fail_at);
+    pop.fail_all_legit();
+    for (auto& d : drivers) d.enter_failure_mode();
+  }
+  lazy_sched.run_until(end);
+  eager_sched.run_until(end);
+  pop.stop_all();
+  for (auto& d : drivers) d.stop();
+
+  ASSERT_GT(lazy.size(), 10000u);
+  EXPECT_EQ(lazy, eager);
+  EXPECT_EQ(lazy_sched.events_processed(), eager_sched.events_processed());
+  EXPECT_EQ(lazy_sched.queue_depth_high_water(),
+            eager_sched.queue_depth_high_water());
+}
+
+std::vector<FlowSpec> short_flow_trace(std::size_t active_flows,
+                                       sim::Duration horizon) {
+  TraceConfig cfg;
+  cfg.active_flows = active_flows;
+  cfg.mean_duration = sim::seconds(1);
+  cfg.horizon = horizon;
+  sim::Rng rng{12};
+  return synthesize_trace(cfg, rng);
+}
+
+TEST(FlowPopulation, LazyDriversMatchEagerDrivers) {
+  // ~12 k one-second flows over 60 s: slots are freed and reused
+  // thousands of times.
+  const auto trace = short_flow_trace(200, sim::seconds(60));
+  ASSERT_GT(trace.size(), 5000u);
+  expect_lazy_matches_eager(trace, sim::kTimeMax, sim::seconds(70));
+}
+
+TEST(FlowPopulation, LazyDriversMatchEagerDriversThroughFailure) {
+  // At 30 s some flows have finished, ~200 are live and ~6 k have not
+  // started; all of them must fail exactly as the eager drivers did.
+  const auto trace = short_flow_trace(200, sim::seconds(60));
+  expect_lazy_matches_eager(trace, sim::seconds(30), sim::seconds(90));
+}
+
+TEST(FlowPopulation, LiveHighWaterFollowsActiveFlows) {
+  obs::Gauge& gauge =
+      obs::Registry::global().gauge("trafficgen.population.live_hwm");
+  gauge.reset();
+  const auto trace = short_flow_trace(2000, sim::seconds(20));
+  std::size_t hwm = 0;
+  {
+    sim::Scheduler s;
+    std::uint64_t fins = 0;
+    FlowPopulation pop{s, sim::Rng{13},
+                       [&](net::Packet p) { fins += p.tcp()->fin; }};
+    for (const auto& f : trace) pop.add_legit(f);
+    EXPECT_EQ(pop.live_high_water(), 0u);
+    pop.start_all();
+    s.run_until(sim::seconds(30));
+    pop.stop_all();
+    EXPECT_GT(fins, 20000u);
+    EXPECT_GT(pop.legit_count(), 10 * 2000u);
+    hwm = pop.live_high_water();
+    EXPECT_GT(hwm, 2000u / 2);
+    EXPECT_LE(hwm, 2 * 2000u);
+  }
+  EXPECT_EQ(gauge.value(), static_cast<double>(hwm));
 }
 
 }  // namespace
