@@ -4,8 +4,8 @@
 Compares the `trials_per_s` of every sweep named in a committed baseline
 (bench/baselines/*.json) against a freshly produced BENCH_<family>.json
 and fails when throughput drops below `baseline * tolerance`. The gate
-guards the hot-path engine (timing-wheel scheduler, slab-allocated
-packets, SoA flow state): an accidental O(log n) or per-event allocation
+guards the hot-path engine (timing-wheel scheduler, allocation-free
+link delivery, SoA flow state): an accidental O(log n) or per-event allocation
 sneaking back in shows up here, not weeks later in a slow experiment.
 
 Usage:

@@ -118,14 +118,17 @@ void Link::transmit(net::Packet pkt) {
                   static_cast<long long>(arrival),
                   static_cast<long long>(now));
 
-  const auto h = in_flight_.allocate();
-  in_flight_[h] = std::move(pkt);
-  sched_.schedule_at(arrival, [this, h] {
+  in_flight_.push_back({arrival, std::move(pkt)});
+  sched_.schedule_at(arrival, [this] {
+    INTOX_INVARIANT(
+        !in_flight_.empty() && in_flight_.front().arrival == sched_.now(),
+        "link delivery out of FIFO order at now=%lld (%zu in flight)",
+        static_cast<long long>(sched_.now()), in_flight_.size());
+    if (in_flight_.empty()) return;
     ++counters_.delivered_packets;
-    // Move out and release before delivering: the sink may reenter
-    // transmit() and reuse (or grow past) this slot.
-    net::Packet delivered = std::move(in_flight_[h]);
-    in_flight_.release(h);
+    // Pop before delivering: the sink may reenter transmit() and push.
+    net::Packet delivered = std::move(in_flight_.front().pkt);
+    in_flight_.pop_front();
     deliver_(std::move(delivered));
   });
 }

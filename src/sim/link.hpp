@@ -10,12 +10,12 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 
 #include "net/packet.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
-#include "sim/slab.hpp"
 
 namespace intox::sim {
 
@@ -92,11 +92,16 @@ class Link {
   Time next_free_ = 0;  // when the transmitter finishes its current backlog
   Counters counters_;
   Rng red_rng_;  // forked per link in the constructor
-  /// In-flight packets parked between serialization and delivery. The
-  /// delivery closure captures only {this, handle} (16 bytes), so it
-  /// fits std::function's small-buffer storage — the per-packet path
-  /// stops heap-allocating, and packet payloads reuse slab slots.
-  SlabPool<net::Packet> in_flight_;
+  /// Packets between serialization and delivery. `transmit` moves
+  /// `next_free_` strictly forward and the propagation delay is fixed,
+  /// so arrival times strictly increase and every delivery pops the
+  /// front. The delivery closure captures only `this`, which fits
+  /// std::function's small-buffer storage.
+  struct InFlight {
+    Time arrival;
+    net::Packet pkt;
+  };
+  std::deque<InFlight> in_flight_;
 };
 
 }  // namespace intox::sim

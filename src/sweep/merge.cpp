@@ -2,9 +2,11 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 
@@ -61,9 +63,18 @@ void write_aggregate_section(obs::JsonWriter& w, const char* section,
   w.end_object();
 }
 
+/// A record's top-level "exit"; 1 when it has no integer one.
+int record_exit(const obs::JsonValue& record) {
+  const obs::JsonValue* exit = record.find("exit");
+  const bool is_int = exit != nullptr && exit->is_number() &&
+                      exit->number == std::trunc(exit->number) &&
+                      std::fabs(exit->number) <= INT_MAX;
+  return is_int ? static_cast<int>(exit->number) : 1;
+}
+
 }  // namespace
 
-std::string render_merged_report(const MergeInput& in, std::string* error) {
+MergedReport render_merged_report(const MergeInput& in, std::string* error) {
   obs::JsonWriter w;
   w.begin_object();
   w.key("schema").value(kSweepReportSchema);
@@ -82,12 +93,13 @@ std::string render_merged_report(const MergeInput& in, std::string* error) {
   w.key("points").value(static_cast<std::uint64_t>(in.record_paths.size()));
   std::map<std::string, MetricAgg> counter_aggs;
   std::map<std::string, MetricAgg> gauge_aggs;
+  MergedReport out;
   w.key("records").begin_array();
   std::string record;
   for (std::size_t i = 0; i < in.record_paths.size(); ++i) {
     if (!obs::read_file(in.record_paths[i], &record)) {
       *error = "cannot read point record '" + in.record_paths[i] + "'";
-      return "";
+      return {};
     }
     // Records end with the writer's trailing newline; strip it so the
     // splice stays a single JSON token.
@@ -98,18 +110,18 @@ std::string render_merged_report(const MergeInput& in, std::string* error) {
     if (record.empty() || record.front() != '{' || record.back() != '}') {
       *error = "point record '" + in.record_paths[i] +
                "' is not a JSON object";
-      return "";
+      return {};
     }
     w.raw(record);
     // Cross-point aggregates: a record without a parseable metrics
     // section (foreign or hand-written) simply contributes nothing.
     obs::JsonValue parsed;
-    if (obs::json_parse(record, &parsed, nullptr)) {
-      if (const obs::JsonValue* metrics = parsed.find("metrics")) {
-        fold_metric_section(*metrics, "counters", &counter_aggs);
-        fold_metric_section(*metrics, "gauges", &gauge_aggs);
-      }
+    if (!obs::json_parse(record, &parsed, nullptr)) parsed = {};
+    if (const obs::JsonValue* metrics = parsed.find("metrics")) {
+      fold_metric_section(*metrics, "counters", &counter_aggs);
+      fold_metric_section(*metrics, "gauges", &gauge_aggs);
     }
+    out.worst_exit = std::max(out.worst_exit, record_exit(parsed));
   }
   w.end_array();
   w.key("aggregates").begin_object();
@@ -117,7 +129,8 @@ std::string render_merged_report(const MergeInput& in, std::string* error) {
   write_aggregate_section(w, "gauges", gauge_aggs);
   w.end_object();
   w.end_object();
-  return w.str() + "\n";
+  out.doc = w.str() + "\n";
+  return out;
 }
 
 std::string commit_report(const std::string& path, const std::string& doc) {
@@ -142,20 +155,6 @@ std::string commit_report(const std::string& path, const std::string& doc) {
     return "cannot commit report to '" + path + "'";
   }
   return "";
-}
-
-int record_exit_code(const std::string& record_json, int fallback) {
-  // Safe as a substring scan: JSON escaping means a raw '"' never
-  // occurs inside a string value, so the first `"exit":` is the key the
-  // known writer emitted.
-  static constexpr char kNeedle[] = "\"exit\":";
-  const auto pos = record_json.find(kNeedle);
-  if (pos == std::string::npos) return fallback;
-  const char* s = record_json.c_str() + pos + sizeof kNeedle - 1;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s) return fallback;
-  return static_cast<int>(v);
 }
 
 }  // namespace intox::sweep

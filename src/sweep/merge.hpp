@@ -31,19 +31,20 @@ struct MergeInput {
   std::vector<std::string> record_paths;
 };
 
-/// Reads every record and renders the merged report document (with a
-/// trailing newline). Returns empty and sets *error on failure.
-std::string render_merged_report(const MergeInput& in, std::string* error);
+struct MergedReport {
+  /// The report document, with a trailing newline; empty on failure.
+  std::string doc;
+  /// Worst top-level "exit" across the records. A record without an
+  /// integer one counts as 1.
+  int worst_exit = 0;
+};
+
+/// Reads and parses every record once and renders the merged report.
+/// On failure `doc` is empty and *error is set.
+MergedReport render_merged_report(const MergeInput& in, std::string* error);
 
 /// Writes `doc` to `path` via write-temp-then-rename, or to stdout when
 /// `path` is empty. Returns empty on success, else the diagnostic.
 std::string commit_report(const std::string& path, const std::string& doc);
-
-/// Extracts the top-level "exit" field from a point record rendered by
-/// obs::write_point_record. This is a known-writer scan, not a JSON
-/// parser: the writer emits exactly one `"exit":<int>` key at the top
-/// level, before the free-form "stdout" string. Returns `fallback` if
-/// the pattern is absent.
-int record_exit_code(const std::string& record_json, int fallback = 1);
 
 }  // namespace intox::sweep

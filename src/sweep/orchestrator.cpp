@@ -23,7 +23,6 @@
 #include "net/hash.hpp"
 #include "obs/forensics.hpp"
 #include "obs/json.hpp"
-#include "obs/json_parse.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
@@ -415,15 +414,14 @@ int sweep_main(int argc, char** argv) {
   in.family = sc.family;
   in.axes = axes;
   in.record_paths.reserve(total);
-  int exit_code = 0;
   for (std::size_t i = 0; i < total; ++i) {
     in.record_paths.push_back(cache.record_path(keys[i]));
   }
   std::string error;
-  const std::string doc = render_merged_report(in, &error);
-  if (doc.empty()) return fail(error);
+  const MergedReport report = render_merged_report(in, &error);
+  if (report.doc.empty()) return fail(error);
   {
-    std::string err = commit_report(args.out_path, doc);
+    std::string err = commit_report(args.out_path, report.doc);
     if (!err.empty()) return fail(err);
   }
   if (!args.out_path.empty()) {
@@ -432,13 +430,7 @@ int sweep_main(int argc, char** argv) {
   }
   // The sweep's exit is the worst point exit, matching the serial
   // `intox run --sweep` contract.
-  std::string record;
-  for (const std::string& path : in.record_paths) {
-    if (obs::read_file(path, &record)) {
-      exit_code = std::max(exit_code, record_exit_code(record));
-    }
-  }
-  return exit_code;
+  return report.worst_exit;
 }
 
 }  // namespace intox::sweep

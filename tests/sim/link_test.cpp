@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
 #include "sim/network.hpp"
+#include "validate/invariant.hpp"
 
 namespace intox::sim {
 namespace {
@@ -47,6 +49,56 @@ TEST(Link, BackToBackPacketsQueue) {
   ASSERT_EQ(arrivals.size(), 2u);
   EXPECT_EQ(arrivals[0], millis(1));
   EXPECT_EQ(arrivals[1], millis(2));  // second waits for the first
+}
+
+TEST(Link, HundredsInFlightArriveInTransmitOrderIntact) {
+  // 300 packets serialize in under 0.1 ms and propagate for 10 ms, so all
+  // of them are in flight at once; a delivery out of FIFO order throws.
+  validate::ScopedInvariantMode guard{validate::InvariantMode::kThrow};
+  Scheduler s;
+  LinkConfig cfg;
+  cfg.rate_bps = 1e10;
+  cfg.prop_delay = millis(10);
+  std::vector<net::Packet> got;
+  Link link{s, cfg, [&](net::Packet p) { got.push_back(std::move(p)); }};
+  for (std::uint32_t i = 0; i < 300; ++i) {
+    net::Packet p = make_packet(100 + i);
+    p.flow_tag = i;
+    link.transmit(std::move(p));
+  }
+  EXPECT_EQ(s.pending(), 300u);
+  s.run();
+  ASSERT_EQ(got.size(), 300u);
+  for (std::uint32_t i = 0; i < 300; ++i) {
+    EXPECT_EQ(got[i].flow_tag, i);
+    EXPECT_EQ(got[i].payload_bytes, 100 + i);
+  }
+}
+
+TEST(Link, SinkMayTransmitOnTheSameLinkFromADelivery) {
+  // The sink bounces each packet back onto its link until its ttl runs
+  // out, pushing onto the FIFO from inside a delivery while the other
+  // packets are still in flight.
+  validate::ScopedInvariantMode guard{validate::InvariantMode::kThrow};
+  Scheduler s;
+  LinkConfig cfg;
+  cfg.rate_bps = 8e6;  // 1 ms per 1000-byte packet
+  cfg.prop_delay = millis(5);
+  std::vector<std::pair<std::uint64_t, int>> got;  // {flow_tag, ttl}
+  Link link{s, cfg, [&](net::Packet p) {
+              got.emplace_back(p.flow_tag, p.ttl);
+              if (p.ttl-- > 0) link.transmit(std::move(p));
+            }};
+  for (std::uint64_t tag = 0; tag < 3; ++tag) {
+    net::Packet p = make_packet(972);
+    p.flow_tag = tag;
+    p.ttl = 2;
+    link.transmit(std::move(p));
+  }
+  s.run();
+  const std::vector<std::pair<std::uint64_t, int>> want = {
+      {0, 2}, {1, 2}, {2, 2}, {0, 1}, {1, 1}, {2, 1}, {0, 0}, {1, 0}, {2, 0}};
+  EXPECT_EQ(got, want);
 }
 
 TEST(Link, DropTailWhenQueueFull) {
