@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "obs/flightrec.hpp"
+#include "obs/metrics.hpp"
 #include "pcc/utility.hpp"
 
 namespace intox::pcc {
@@ -11,6 +12,15 @@ PccMitm::PccMitm(sim::Scheduler& sched, const PccMitmConfig& config,
                  SenderResolver resolver)
     : sched_(sched), config_(config), resolver_(std::move(resolver)),
       rng_(config.seed) {}
+
+PccMitm::~PccMitm() {
+  static obs::Counter& observed =
+      obs::Registry::global().counter("pcc.mitm.packets_observed");
+  static obs::Counter& evals =
+      obs::Registry::global().counter("pcc.mitm.drop_prob_evals");
+  if (observed_) observed.add(observed_);
+  if (drop_prob_evals_) evals.add(drop_prob_evals_);
+}
 
 void PccMitm::attach(sim::Link& link) {
   link.set_tap([this](net::Packet& pkt) { return on_packet(pkt); });
@@ -39,7 +49,21 @@ sim::TapAction PccMitm::omniscient(const net::Packet& pkt) {
   const double rate = sender->current_mi_rate();
   const double eps = sender->epsilon();
 
-  double drop_prob = 0.0;
+  auto [it, fresh] = drop_cache_.try_emplace(sender);
+  CachedDrop& cached = it->second;
+  if (fresh || cached.phase != phase || cached.rate != rate ||
+      cached.eps != eps) {
+    cached = CachedDrop{phase, rate, eps, drop_probability(phase, rate, eps)};
+    ++drop_prob_evals_;
+  }
+  const double drop_prob = cached.prob;
+  return (drop_prob > 0.0 && rng_.bernoulli(drop_prob))
+             ? sim::TapAction::kDrop
+             : sim::TapAction::kForward;
+}
+
+double PccMitm::drop_probability(MiPhase phase, double rate,
+                                 double eps) const {
   switch (phase) {
     case MiPhase::kUp:
     case MiPhase::kDown: {
@@ -52,26 +76,22 @@ sim::TapAction PccMitm::omniscient(const net::Packet& pkt) {
       const double base = phase == MiPhase::kUp ? rate / (1.0 + eps)
                                                 : rate / (1.0 - eps);
       const double target = utility(base * (1.0 - 2.0 * eps), 0.0);
-      drop_prob = loss_for_target_utility(rate, target);
-      break;
+      return loss_for_target_utility(rate, target);
     }
     case MiPhase::kWaiting:
-      break;  // hold intervals are not part of any experiment
+      return 0.0;  // hold intervals are not part of any experiment
     case MiPhase::kAdjusting:
       // Any move away from the base gets punished so utility regresses
       // and the sender falls back into (rigged) experiments.
-      drop_prob = loss_for_target_utility(rate, utility(rate * 0.97, 0.0));
-      break;
+      return loss_for_target_utility(rate, utility(rate * 0.97, 0.0));
     case MiPhase::kStarting:
       if (config_.pin_rate_bps > 0.0 && rate > config_.pin_rate_bps) {
-        drop_prob =
-            loss_for_target_utility(rate, utility(config_.pin_rate_bps, 0.0));
+        return loss_for_target_utility(rate,
+                                       utility(config_.pin_rate_bps, 0.0));
       }
-      break;
+      return 0.0;
   }
-  return (drop_prob > 0.0 && rng_.bernoulli(drop_prob))
-             ? sim::TapAction::kDrop
-             : sim::TapAction::kForward;
+  return 0.0;
 }
 
 sim::TapAction PccMitm::shaper(const net::Packet& pkt) {

@@ -13,7 +13,10 @@
 //    already knows the algorithm and utility function, this just skips
 //    the timing-estimation step). In +ε intervals it drops exactly
 //    enough, computed by inverting the utility function, to pull the +ε
-//    arm's utility down to the −ε arm's.
+//    arm's utility down to the −ε arm's. The drop probability is a pure
+//    function of the sender's (phase, MI rate, ε), which change only when
+//    an MI opens or ε is capped, so it is kept per sender and recomputed
+//    only when one of the three differs.
 //
 //  * kShaper — a realistic in-path attacker that estimates the flow's
 //    baseline rate from packet timing (the monitor interval is
@@ -26,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <unordered_map>
 
 #include "pcc/sender.hpp"
 #include "sim/link.hpp"
@@ -62,11 +66,29 @@ class PccMitm {
       : PccMitm(sched, config,
                 [sender](const net::Packet&) { return sender; }) {}
 
+  /// Publishes the packets observed and the drop-probability
+  /// evaluations into the obs metrics registry.
+  ~PccMitm();
+  // The link tap holds `this`.
+  PccMitm(const PccMitm&) = delete;
+  PccMitm& operator=(const PccMitm&) = delete;
+
   /// Installs the attacker on a link (the compromised hop).
   void attach(sim::Link& link);
 
   [[nodiscard]] std::uint64_t observed() const { return observed_; }
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
+  /// Omniscient mode: how many times drop_probability ran, about once
+  /// per monitor interval per flow rather than once per packet.
+  [[nodiscard]] std::uint64_t drop_prob_evals() const {
+    return drop_prob_evals_;
+  }
+
+  /// Omniscient mode's drop probability for a packet sent in a `phase`
+  /// MI at `rate` with experiment size `eps`. Pure: the same inputs give
+  /// the same double.
+  [[nodiscard]] double drop_probability(MiPhase phase, double rate,
+                                        double eps) const;
 
  private:
   sim::TapAction on_packet(net::Packet& pkt);
@@ -79,6 +101,17 @@ class PccMitm {
   sim::Rng rng_;
   std::uint64_t observed_ = 0;
   std::uint64_t dropped_ = 0;
+  std::uint64_t drop_prob_evals_ = 0;
+
+  // Omniscient state: each sender's last drop_probability inputs and
+  // result. Entries are only looked up, never iterated.
+  struct CachedDrop {
+    MiPhase phase;
+    double rate;
+    double eps;
+    double prob;
+  };
+  std::unordered_map<const PccSender*, CachedDrop> drop_cache_;
 
   // Shaper state.
   double baseline_bps_ = 0.0;

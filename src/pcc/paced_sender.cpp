@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include "obs/metrics.hpp"
+#include "validate/invariant.hpp"
+
 namespace intox::pcc {
 
 PacedSender::PacedSender(sim::Scheduler& sched, const SendConfig& config,
@@ -9,6 +12,14 @@ PacedSender::PacedSender(sim::Scheduler& sched, const SendConfig& config,
     : sched_(sched), send_config_(config), flow_(flow),
       sink_(std::move(sink)), pacing_bps_(config.initial_rate_bps),
       srtt_s_(sim::to_seconds(config.initial_rtt)) {}
+
+PacedSender::~PacedSender() {
+  static obs::Gauge& ack_distance =
+      obs::Registry::global().gauge("pcc.send_ring.ack_distance_hwm");
+  if (ack_distance_hwm_) {
+    ack_distance.update_max(static_cast<double>(ack_distance_hwm_));
+  }
+}
 
 void PacedSender::start() {
   running_ = true;
@@ -54,6 +65,14 @@ void PacedSender::schedule_next_send() {
 }
 
 void PacedSender::on_ack(std::uint32_t seq, sim::Time now) {
+  if (seq != 0 && seq < next_seq_) {
+    const std::uint32_t distance = next_seq_ - seq;
+    ack_distance_hwm_ = std::max(ack_distance_hwm_, distance);
+    INTOX_INVARIANT(distance <= kSendRingSize,
+                    "ACK for seq %u arrived %u sends after it, past the "
+                    "%u-record send ring",
+                    seq, distance, kSendRingSize);
+  }
   SendRecord& rec = send_ring_[seq & (kSendRingSize - 1)];
   // Never sent, overwritten or already acked (seq 0 would match an
   // empty slot).

@@ -23,7 +23,13 @@ class PacedSender {
  public:
   using PacketSink = std::function<void(net::Packet)>;
 
-  virtual ~PacedSender() = default;
+  /// Send records kept: an ACK matches only if fewer than this many
+  /// packets left after its own (see on_ack).
+  static constexpr std::uint32_t kSendRingSize = 1u << 12;
+
+  /// Publishes the largest ACK distance seen as the gauge
+  /// pcc.send_ring.ack_distance_hwm.
+  virtual ~PacedSender();
   // Scheduled closures hold `this`.
   PacedSender(const PacedSender&) = delete;
   PacedSender& operator=(const PacedSender&) = delete;
@@ -34,6 +40,9 @@ class PacedSender {
   /// Stops pacing and cancels the policy's interval timer.
   void stop();
   /// Feed an ACK for sequence number `seq` (from the receiver path).
+  /// An ACK for a packet sent more than kSendRingSize sends ago raises an
+  /// invariant: its record was overwritten, so its RTT sample and its
+  /// interval credit would be lost.
   void on_ack(std::uint32_t seq, sim::Time now);
 
   [[nodiscard]] double smoothed_rtt_seconds() const { return srtt_s_; }
@@ -78,19 +87,21 @@ class PacedSender {
   double pacing_bps_;
   double srtt_s_;
   std::uint32_t next_seq_ = 1;
+  /// Largest next_seq_ - seq over the ACKs of packets sent so far.
+  std::uint32_t ack_distance_hwm_ = 0;
   /// Per-packet send records in a flat power-of-two ring indexed by
   /// seq & (kSendRingSize - 1). Sequence numbers are consecutive, so
   /// the ring always holds the most recent kSendRingSize sends; a
   /// record is cleared when its ACK arrives. Records of lost packets
-  /// are overwritten one ring revolution (~32k packets) later — beyond
-  /// any simulated ACK latency, so lookups behave like a per-seq hash
-  /// map that never leaks lost-packet entries.
+  /// are overwritten one ring revolution (4096 packets) later. The
+  /// scenarios' ACKs arrive at most a few hundred sends after their
+  /// packet (pcc.send_ring.ack_distance_hwm), so lookups behave like a
+  /// per-seq hash map that never leaks lost-packet entries.
   struct SendRecord {
     std::uint32_t seq = 0;  // 0 = empty (sequence numbers start at 1)
     std::uint64_t interval = 0;
     sim::Time sent_at = 0;
   };
-  static constexpr std::uint32_t kSendRingSize = 1u << 15;
   std::vector<SendRecord> send_ring_ = std::vector<SendRecord>(kSendRingSize);
   sim::Scheduler::EventId send_event_;
   sim::TimeSeries rate_series_;

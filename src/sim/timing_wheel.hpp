@@ -85,15 +85,12 @@ class TimingWheel {
   [[nodiscard]] Time cursor() const { return static_cast<Time>(cursor_); }
   /// Total nodes ever taken from slab growth (capacity watermark).
   [[nodiscard]] std::size_t slab_capacity() const { return nodes_.size(); }
-  [[nodiscard]] std::uint64_t next_seq() const { return next_seq_; }
 
   /// True when `ref` addresses a live (pending) event.
   [[nodiscard]] bool is_live(Ref ref) const {
     return ref.index < nodes_.size() && nodes_[ref.index].bucket != kNoBucket
         && nodes_[ref.index].gen == ref.gen;
   }
-  /// Timestamp of a live event (undefined for stale refs).
-  [[nodiscard]] Time time_of(Ref ref) const { return nodes_[ref.index].time; }
 
  private:
   static constexpr std::uint16_t kNoBucket = UINT16_MAX;

@@ -2,7 +2,14 @@
 // harness (clean vs attacked runs).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <map>
+#include <tuple>
+
 #include "pcc/experiment.hpp"
+#include "pcc/receiver.hpp"
+#include "sim/link.hpp"
 
 namespace intox::pcc {
 namespace {
@@ -109,6 +116,135 @@ TEST(PccExperiment, OmniscientAttackBarelyMovesRenoThroughput) {
   const auto attacked = run_pcc_experiment(cfg);
   EXPECT_NEAR(attacked.mean_rate_bps, clean.mean_rate_bps,
               0.1 * clean.mean_rate_bps);
+}
+
+// ---- The MitM's per-sender drop-probability cache ---------------------
+
+// Two PCC senders share one 20 Mb/s bottleneck with the omniscient MitM
+// on it, so their packets reach the attacker interleaved. Each packet's
+// sink first plays a reference attacker that calls drop_probability on
+// every packet and draws from its own Rng with the same seed, then hands
+// the packet to the link, whose tap runs the real one at the same
+// instant. Past `cap_at`, the first flow-0 packet sent in an experiment
+// MI with ε above 0.02 caps ε to 0.02 mid-MI.
+struct CacheRun {
+  std::vector<bool> reference;  // drop decision per packet
+  std::vector<bool> actual;
+  std::vector<std::size_t> flow;  // sender index per packet
+  std::uint64_t reference_evals = 0;
+  std::uint64_t evals = 0;
+  std::uint64_t observed = 0;
+  double eps_before_cap = 0.0;
+  double eps_after_cap = 0.0;
+  std::size_t packets_after_cap_in_mi = 0;
+};
+
+CacheRun run_cache_check(sim::Time cap_at) {
+  sim::Scheduler sched;
+  std::array<std::unique_ptr<PccSender>, 2> senders;
+  sim::LinkConfig rc;
+  rc.rate_bps = 1e9;
+  rc.prop_delay = sim::millis(20);
+  sim::Link reverse{sched, rc, [&](net::Packet ack) {
+                      const std::size_t i = ack.udp()->dst_port - 10000u;
+                      senders[i]->on_ack(
+                          static_cast<std::uint32_t>(ack.flow_tag),
+                          sched.now());
+                    }};
+  PccReceiver receiver{[&](net::Packet a) { reverse.transmit(std::move(a)); }};
+  sim::LinkConfig fc;
+  fc.rate_bps = 20e6;
+  fc.prop_delay = sim::millis(20);
+  fc.queue_limit_bytes = 64 * 1024;
+  sim::Link bottleneck{sched, fc,
+                       [&](net::Packet d) { receiver.on_data(d); }};
+
+  const PccMitmConfig mcfg;
+  PccMitm mitm{sched, mcfg, [&](const net::Packet& p) -> const PccSender* {
+                 return senders[p.udp()->src_port - 10000u].get();
+               }};
+  mitm.attach(bottleneck);
+
+  CacheRun run;
+  sim::Rng reference_rng(mcfg.seed);
+  using Key = std::tuple<MiPhase, double, double>;
+  std::map<std::size_t, Key> last_key;
+  bool capped = false;
+  Key cap_key{};
+  bool in_capped_mi = false;
+  for (std::size_t i = 0; i < senders.size(); ++i) {
+    PccConfig pc;
+    pc.seed = 31 + i;
+    net::FiveTuple t{net::Ipv4Addr{172, 16, 0, static_cast<std::uint8_t>(i)},
+                     net::Ipv4Addr{10, 0, 0, 1},
+                     static_cast<std::uint16_t>(10000 + i), 443,
+                     net::IpProto::kUdp};
+    senders[i] = std::make_unique<PccSender>(
+        sched, pc, t, [&, i](net::Packet p) {
+          PccSender& s = *senders[i];
+          const MiPhase phase = s.current_phase();
+          const bool experiment =
+              phase == MiPhase::kUp || phase == MiPhase::kDown;
+          if (i == 0 && !capped && sched.now() >= cap_at && experiment &&
+              s.epsilon() > 0.02) {
+            capped = true;
+            run.eps_before_cap = s.epsilon();
+            s.set_epsilon_cap(0.02);
+            run.eps_after_cap = s.epsilon();
+            cap_key = Key{phase, s.current_mi_rate(), run.eps_before_cap};
+            in_capped_mi = true;
+          }
+          const Key key{phase, s.current_mi_rate(), s.epsilon()};
+          if (i == 0 && in_capped_mi) {
+            in_capped_mi = std::get<0>(key) == std::get<0>(cap_key) &&
+                           std::get<1>(key) == std::get<1>(cap_key);
+            if (in_capped_mi) ++run.packets_after_cap_in_mi;
+          }
+          auto [it, fresh] = last_key.try_emplace(i, key);
+          if (fresh || it->second != key) ++run.reference_evals;
+          it->second = key;
+          const double prob = mitm.drop_probability(
+              std::get<0>(key), std::get<1>(key), std::get<2>(key));
+          run.reference.push_back(prob > 0.0 && reference_rng.bernoulli(prob));
+          run.flow.push_back(i);
+          const std::uint64_t before = mitm.dropped();
+          bottleneck.transmit(std::move(p));
+          run.actual.push_back(mitm.dropped() != before);
+        });
+  }
+  for (auto& s : senders) s->start();
+  sched.run_until(sim::seconds(20));
+  for (auto& s : senders) s->stop();
+  run.evals = mitm.drop_prob_evals();
+  run.observed = mitm.observed();
+  return run;
+}
+
+TEST(PccMitm, CachedDropsMatchPerPacketReferenceOnInterleavedFlows) {
+  const CacheRun run = run_cache_check(sim::seconds(1000));  // never caps
+  ASSERT_EQ(run.observed, run.actual.size());
+  std::size_t switches = 0;
+  for (std::size_t k = 1; k < run.flow.size(); ++k) {
+    switches += run.flow[k] != run.flow[k - 1];
+  }
+  EXPECT_GT(switches, run.flow.size() / 4);  // the flows do interleave
+  EXPECT_GT(std::count(run.actual.begin(), run.actual.end(), true), 100);
+  EXPECT_EQ(run.actual, run.reference);
+  // One evaluation per change of a sender's inputs, not per packet.
+  EXPECT_EQ(run.evals, run.reference_evals);
+  EXPECT_LT(run.evals * 20, run.observed);
+}
+
+TEST(PccMitm, EpsilonCapMidIntervalRefreshesTheDropProbability) {
+  const CacheRun run = run_cache_check(sim::seconds(10));
+  ASSERT_GT(run.eps_before_cap, 0.02);
+  ASSERT_EQ(run.eps_after_cap, 0.02);
+  // The capped MI went on sending after the cap.
+  EXPECT_GT(run.packets_after_cap_in_mi, 5u);
+  EXPECT_EQ(run.actual, run.reference);
+  // The ε change alone, with phase and rate unchanged, counts as one
+  // more evaluation, as the reference counts it.
+  EXPECT_EQ(run.evals, run.reference_evals);
 }
 
 }  // namespace

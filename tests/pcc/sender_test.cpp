@@ -11,6 +11,7 @@
 #include "pcc/experiment.hpp"
 #include "pcc/receiver.hpp"
 #include "sim/link.hpp"
+#include "validate/invariant.hpp"
 
 namespace intox::pcc {
 
@@ -113,6 +114,43 @@ TEST_P(SendPath, PacketsGoOutAtTheCurrentRate) {
   }
   EXPECT_EQ(off_pace, 0u);
   EXPECT_GT(rates.size(), 3u);  // the rate moved and the pacing followed
+}
+
+TEST_P(SendPath, AckPastTheSendRingRaises) {
+  // Nothing is ACKed while the sender runs, so every record stays; then
+  // the oldest ACK the ring still holds matches and one older raises.
+  PccConfig cfg;
+  cfg.initial_rate_bps = 100e6;
+  cfg.min_rate_bps = 100e6;  // no ACKs: Reno would back off far below
+  cfg.max_rate_bps = 100e6;
+  sim::Scheduler sched;
+  std::uint32_t last_seq = 0;
+  auto sink = [&](net::Packet p) {
+    last_seq = static_cast<std::uint32_t>(p.flow_tag);
+  };
+  net::FiveTuple t{};
+  std::unique_ptr<PacedSender> sender;
+  if (GetParam() == SenderKind::kPcc) {
+    sender = std::make_unique<PccSender>(sched, cfg, t, sink);
+  } else {
+    sender = std::make_unique<RenoSender>(sched, cfg, t, sink);
+  }
+  sender->start();
+  sched.run_until(sim::seconds(1));
+  sender->stop();
+  constexpr std::uint32_t kRing = PacedSender::kSendRingSize;
+  ASSERT_GT(last_seq, kRing + 1);
+
+  validate::ScopedInvariantMode mode(validate::InvariantMode::kThrow);
+  validate::reset_invariant_violations();
+  const double srtt = sender->smoothed_rtt_seconds();
+  // next_seq - seq == kRing: the record is still in the ring.
+  sender->on_ack(last_seq + 1 - kRing, sched.now());
+  EXPECT_EQ(validate::invariant_violations(), 0u);
+  EXPECT_NE(sender->smoothed_rtt_seconds(), srtt);
+  EXPECT_THROW(sender->on_ack(last_seq - kRing, sched.now()),
+               validate::InvariantError);
+  EXPECT_EQ(validate::invariant_violations(), 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Senders, SendPath,
